@@ -27,14 +27,14 @@
 #            fig15_lu's --check-scaleout gate — 8-node pipelined must beat
 #            1-node — fig6_throughput's --check-shm gate — shm must beat
 #            TCP loopback 2x at 1 KB on multi-core hosts — micro_steal's
-#            work-stealing gate, ablation_flowctl's knee +
-#            adaptive-window gates: adaptive within 5% of the best static
-#            window at every message size, fig9_life's --check-leaf gate —
+#            work-stealing gate, ablation_flowctl's flow-window knee
+#            gate, fig9_life's --check-leaf gate —
 #            the LUT leaf kernel must beat naive 3x at 1024^2 on
 #            multi-core hosts — and stream_video's streaming self-checks:
 #            checksum-verified frames, base rate sustained within 20%, p99
-#            end-to-end under the SLO), and flag fig15_lu / fig6_throughput
-#            / fig9_life throughput regressions >10% against the committed
+#            end-to-end under the SLO), append a code_size record carrying
+#            the src/ line count, and flag fig15_lu / fig6_throughput /
+#            fig9_life throughput regressions >10% against the committed
 #            BENCH_pr9.json baseline
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -183,9 +183,8 @@ fi
 # a pipelined ring cannot overlap transport with compute), micro_steal
 # exits nonzero unless enabling work stealing actually steals and speeds up
 # an imbalanced pipeline (skipped below 4 cores), ablation_flowctl
-# exits nonzero unless a flow-window knee exists and the adaptive
-# controller lands within 5% of the best static window at every message
-# size, fig9_life --check-leaf exits nonzero unless the LUT leaf kernel
+# exits nonzero unless a flow-window knee exists at every message size,
+# fig9_life --check-leaf exits nonzero unless the LUT leaf kernel
 # beats naive 3x at 1024^2 through the backend seam (skipped on
 # single-core hosts) or the two kernels disagree bit-wise, and
 # stream_video exits nonzero unless every frame's chained checksum
@@ -211,6 +210,11 @@ b=build/bench
   --benchmark_filter='BM_CallLatencySingleNode|BM_TokenThroughputSerialized/256|BM_DispatchMergeMatch'
 "$b/micro_serialization" --json "$smoke_dir/micro_serial.json" \
   --benchmark_filter='BM_SimpleTokenRoundTrip|BM_ComplexTokenRoundTrip/4096'
+# Code size rides along as one record (not watched by bench_compare.py):
+# the line count of every source file under src/.
+src_lines=$(find src -name '*.cpp' -o -name '*.hpp' | sort | xargs cat | wc -l)
+echo "{\"bench\":\"code_size\",\"config\":\"src_lines\",\"lines\":$src_lines}" \
+  > "$smoke_dir/zz_code_size.json"
 cat "$smoke_dir"/*.json > BENCH_pr10.json
 echo "bench smoke: $(wc -l < BENCH_pr10.json) records -> BENCH_pr10.json"
 # Guard the hot-path wins: any fig15_lu / fig6_throughput / fig9_life

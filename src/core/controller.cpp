@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <numeric>
 #include <optional>
 
@@ -11,8 +10,6 @@
 #if defined(__linux__)
 #include <sched.h>
 #endif
-
-#include "core/flow_adapt.hpp"
 
 #include "core/application.hpp"
 #include "core/checkpoint.hpp"
@@ -120,19 +117,13 @@ struct Controller::StealGroup {
 struct Controller::FlowAccount {
   Mutex mu;
   WaitPoint wp DPS_GUARDED_BY(mu);
-  /// Window ceiling of the owning tenant, frozen at split start (per-tenant
-  /// flow control, docs/SERVICE_MESH.md). With `adaptive` set this is the
-  /// upper clamp; otherwise it is the static window itself.
+  /// Window of the owning tenant, frozen at split start (per-tenant flow
+  /// control, docs/SERVICE_MESH.md).
   uint32_t window = 0;
   uint32_t in_flight DPS_GUARDED_BY(mu) = 0;
   /// Owning split/stream execution completed.
   bool finished DPS_GUARDED_BY(mu) = false;
   bool poison DPS_GUARDED_BY(mu) = false;
-  /// ClusterConfig::adaptive_flow controller; null = static window.
-  std::unique_ptr<AdaptiveWindow> adaptive DPS_GUARDED_BY(mu);
-  /// domain().now() stamps of in-flight credits, oldest first — the RTT
-  /// source of the adaptive controller (credit round trip, not frame RTT).
-  std::deque<double> sends DPS_GUARDED_BY(mu);
 };
 
 /// Per-peer reliable-delivery state (docs/FAULT_TOLERANCE.md). One link per
@@ -575,35 +566,22 @@ class Controller::ExecCtx : public detail::OpServices {
     }
     if (remote.empty()) return;
 
-    // Remote fan-out. Credits are acquired here (the split end) for every
-    // remote destination; the window floor above keeps the acquisition
-    // live even when the window is smaller than the collective, but a
-    // structured topology that outsizes the window still degrades to flat
-    // so its per-frame chunks interleave with credit returns instead of
-    // bursting past the receivers' advertised capacity.
-    McastTopology topo = controller_.cluster_.config().mcast_topology;
+    // Remote fan-out: one frame per destination node, chunked at the
+    // window. Credits are acquired here (the split end) for every remote
+    // destination; the collective floor keeps the acquisition live even
+    // when the window is smaller than the collective, and the chunking
+    // interleaves each frame with credit returns instead of bursting past
+    // the receivers' window.
     const uint32_t window =
         std::max<uint32_t>(1, controller_.tenant_window(env_.tenant));
-    if (topo != McastTopology::kFlat && remote_count >= window) {
-      topo = McastTopology::kFlat;
-    }
-    if (topo == McastTopology::kFlat) {
-      for (const McastGroup& g : remote) {
-        for (size_t lo = 0; lo < g.entries.size(); lo += window) {
-          const size_t n = std::min<size_t>(window, g.entries.size() - lo);
-          for (size_t i = 0; i < n; ++i) {
-            acquire_collective_credit();
-          }
-          McastGroup chunk{g.node,
-                          {g.entries.begin() + lo, g.entries.begin() + lo + n}};
-          controller_.mcast_ship(McastTopology::kFlat, {chunk}, body);
+    for (const McastGroup& g : remote) {
+      for (size_t lo = 0; lo < g.entries.size(); lo += window) {
+        const size_t n = std::min<size_t>(window, g.entries.size() - lo);
+        for (size_t i = 0; i < n; ++i) {
+          acquire_collective_credit();
         }
+        controller_.mcast_ship(g.node, g.entries.data() + lo, n, body);
       }
-    } else {
-      for (size_t i = 0; i < remote_count; ++i) {
-        acquire_collective_credit();
-      }
-      controller_.mcast_ship(topo, remote, body);
     }
   }
 
@@ -744,19 +722,11 @@ class Controller::ExecCtx : public detail::OpServices {
     }
   }
 
-  /// This worker's inbox depth, piggybacked on flow acks as the receiver
-  /// congestion signal of the adaptive window controller.
-  uint32_t inbox_depth() const {
-    return worker_.depth_slot == nullptr
-               ? 0
-               : worker_.depth_slot->load(std::memory_order_relaxed);
-  }
-
   /// Records one consumed token of the merge/stream input context; credits
   /// to remote splits are batched and flushed by flush_acks().
   void note_consumed(const SplitFrame& frame) {
     if (frame.split_node == controller_.self_) {
-      controller_.apply_flow_release(frame.context, 1, inbox_depth());
+      controller_.apply_flow_release(frame.context, 1);
       return;
     }
     if (acks_pending_ == 0) ack_frame_ = frame;
@@ -770,7 +740,7 @@ class Controller::ExecCtx : public detail::OpServices {
     acks_pending_ = 0;
     // All tokens of one merge context share the split's context id and
     // node, so the whole batch collapses into one frame.
-    controller_.send_flow_ack(ack_frame_, n, inbox_depth());
+    controller_.send_flow_ack(ack_frame_, n);
   }
 
   void cleanup_after_failure() {
@@ -1344,56 +1314,18 @@ void Controller::send_reply(Envelope env) {
 }
 
 void Controller::on_fabric(NodeMessage&& msg) {
-  // Non-blocking by contract: enqueue, update accounts, notify.
-  switch (msg.kind) {
-    case FrameKind::kReliable:
-      handle_reliable(std::move(msg));
-      break;
-    case FrameKind::kAck: {
-      Reader r(msg.payload.data(), msg.payload.size());
-      handle_ack(msg.from, r.get<uint64_t>());
-      break;
-    }
-    case FrameKind::kHeartbeat: {
-      Reader r(msg.payload.data(), msg.payload.size());
-      handle_ack(msg.from, r.get<uint64_t>());
-      break;
-    }
-    case FrameKind::kPeerDown: {
-      // Transport-level death report (torn TCP stream). Under fault
-      // tolerance the cluster converts it to kNodeDown on in-flight calls;
-      // otherwise it is surfaced loudly as a protocol error.
-      Reader r(msg.payload.data(), msg.payload.size());
-      const std::string reason = r.get_string();
-      if (cluster_.fault_tolerant()) {
-        cluster_.mark_node_down(msg.from, reason);
-      } else {
-        DPS_ERROR("node " << self_ << ": " << to_string(Errc::kProtocol)
-                          << ": " << reason);
-      }
-      break;
-    }
-    default:
-#ifdef DPS_TRACE
-      if (obs::tracing_active()) {
-        obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                      msg.from,
-                                      static_cast<uint64_t>(msg.kind), 0,
-                                      msg.payload.size());
-        static obs::Counter& received_raw =
-            obs::Metrics::instance().counter("dps.fabric.frames_received");
-        received_raw.inc();
-      }
-#endif
-      handle_frame(msg.kind, msg.from, msg.payload.data(),
-                   msg.payload.size());
-  }
+  // Per-message fabrics (sim, multi-process, the TCP peer-down report)
+  // deliver through the batched path as a receive chunk of one.
+  std::vector<NodeMessage> one;
+  one.push_back(std::move(msg));
+  on_fabric_batch(std::move(one));
 }
 
 void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
-  // One receive chunk's worth of frames. Envelopes are grouped per worker
-  // (one inbox append + one notify each), and all reliable-link seq/ack
-  // bookkeeping for the chunk runs under a single rel_mu_ acquisition.
+  // One receive chunk's worth of frames. Non-blocking by contract: enqueue,
+  // update accounts, notify. Envelopes are grouped per worker (one inbox
+  // append + one notify each), and all reliable-link seq/ack bookkeeping
+  // for the chunk runs under a single rel_mu_ acquisition.
   DeliveryBatch batch(*this);
   struct RelItem {
     size_t index;       ///< into msgs
@@ -1419,10 +1351,25 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
         break;
       }
       case FrameKind::kAck:
-      case FrameKind::kHeartbeat:
-      case FrameKind::kPeerDown:
-        on_fabric(std::move(msg));  // rare control kinds keep the slow path
+      case FrameKind::kHeartbeat: {  // heartbeats double as ack carriers
+        Reader r(msg.payload.data(), msg.payload.size());
+        handle_ack(msg.from, r.get<uint64_t>());
         break;
+      }
+      case FrameKind::kPeerDown: {
+        // Transport-level death report (torn TCP stream). Under fault
+        // tolerance the cluster converts it to kNodeDown on in-flight
+        // calls; otherwise it is surfaced loudly as a protocol error.
+        Reader r(msg.payload.data(), msg.payload.size());
+        const std::string reason = r.get_string();
+        if (cluster_.fault_tolerant()) {
+          cluster_.mark_node_down(msg.from, reason);
+        } else {
+          DPS_ERROR("node " << self_ << ": " << to_string(Errc::kProtocol)
+                            << ": " << reason);
+        }
+        break;
+      }
       default: {
 #ifdef DPS_TRACE
         if (obs::tracing_active()) {
@@ -1436,7 +1383,7 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
         }
 #endif
         handle_frame(msg.kind, msg.from, msg.payload.data(),
-                     msg.payload.size(), &batch);
+                     msg.payload.size(), batch);
       }
     }
   }
@@ -1494,6 +1441,9 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
       // ack lost: the duplicate will come again
     }
   }
+  // Frames are self-contained engine messages: out-of-order delivery is
+  // harmless (merge contexts collect by SplitFrame, not arrival order), so
+  // new frames are delivered at once instead of buffered behind a gap.
   for (const RelItem& item : rel) {
     if (!item.deliver) continue;
     NodeMessage& msg = msgs[item.index];
@@ -1510,37 +1460,28 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
     }
 #endif
     handle_frame(item.inner, msg.from, msg.payload.data() + item.header,
-                 msg.payload.size() - item.header, &batch);
+                 msg.payload.size() - item.header, batch);
   }
   // ~DeliveryBatch flushes the grouped envelopes.
 }
 
 void Controller::handle_frame(FrameKind kind, NodeId from,
                               const std::byte* data, size_t size,
-                              DeliveryBatch* batch) {
+                              DeliveryBatch& batch) {
   switch (kind) {
     case FrameKind::kEnvelope: {
       Reader r(data, size);
-      if (batch != nullptr) {
-        batch->add(Envelope::decode(r));
-      } else {
-        deliver_local(Envelope::decode(r));
-      }
+      batch.add(Envelope::decode(r));
       break;
     }
     case FrameKind::kFlowAck: {
       Reader r(data, size);
       const ContextId ctx = r.get<ContextId>();
-      const uint32_t n = r.get<uint32_t>();
-      // Receiver inbox depth rides as an optional trailer (wire compat
-      // with pre-adaptive senders that stop after the count).
-      const uint32_t depth =
-          r.remaining() >= sizeof(uint32_t) ? r.get<uint32_t>() : 0;
-      apply_flow_release(ctx, n, depth);
+      apply_flow_release(ctx, r.get<uint32_t>());
       break;
     }
     case FrameKind::kMcastEnvelope:
-      handle_mcast(from, data, size, batch);
+      handle_mcast(data, size, batch);
       break;
     case FrameKind::kCallReply: {
       Reader r(data, size);
@@ -1554,75 +1495,35 @@ void Controller::handle_frame(FrameKind kind, NodeId from,
   }
 }
 
-void Controller::handle_mcast(NodeId from, const std::byte* data, size_t size,
-                              DeliveryBatch* batch) {
-  (void)from;
+void Controller::handle_mcast(const std::byte* data, size_t size,
+                              DeliveryBatch& batch) {
   Reader r(data, size);
-  McastTopology topo = McastTopology::kFlat;
-  const std::vector<McastEntry> entries = decode_mcast_header(r, &topo);
-  const size_t body_off = size - r.remaining();
+  const std::vector<McastEntry> entries = decode_mcast_header(r);
   Envelope base = Envelope::decode(r);
   if (base.frames.empty()) {
     raise(Errc::kProtocol, "multicast envelope without a split frame");
   }
-
-  // Local entries become envelope copies sharing one decode of the token;
-  // everything else is regrouped by node (first-appearance group order,
-  // per-node posting order kept) for the next hop.
-  std::vector<McastGroup> remote;
-  uint64_t delivered = 0;
+  // Every entry of a flat frame is bound for this node; each becomes an
+  // envelope copy sharing one decode of the token.
   for (const McastEntry& e : entries) {
     if (e.node != self_) {
-      McastGroup* g = nullptr;
-      for (McastGroup& have : remote) {
-        if (have.node == e.node) {
-          g = &have;
-          break;
-        }
-      }
-      if (g == nullptr) {
-        remote.push_back(McastGroup{e.node, {}});
-        g = &remote.back();
-      }
-      g->entries.push_back(e);
-      continue;
+      raise(Errc::kProtocol, "multicast entry addressed to another node");
     }
     Envelope env = base;  // token pointer shared, not re-decoded
     env.thread = static_cast<ThreadIndex>(e.thread);
     env.frames.back().seq = e.seq;
-    ++delivered;
-    if (batch != nullptr) {
-      batch->add(std::move(env));
-    } else {
-      deliver_local(std::move(env));
-    }
+    batch.add(std::move(env));
   }
 #ifdef DPS_TRACE
-  if (delivered > 0 && obs::tracing_active()) {
+  if (!entries.empty() && obs::tracing_active()) {
     obs::Trace::instance().record(obs::EventKind::kMcastDeliver, self_,
-                                  base.vertex, delivered, entries.size(),
-                                  size - body_off);
+                                  base.vertex, entries.size(), entries.size(),
+                                  size - mcast_header_size(entries.size()));
     static obs::Counter& deliveries =
         obs::Metrics::instance().counter("dps.mcast.deliveries");
-    deliveries.inc(delivered);
+    deliveries.inc(entries.size());
   }
 #endif
-  if (remote.empty()) return;
-
-  // Relay hop of a tree/ring collective: the body bytes are copied out of
-  // the arrival frame once and shared by every forwarded subtree frame.
-  auto body = std::make_shared<const std::vector<std::byte>>(data + body_off,
-                                                             data + size);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kMcastForward, self_,
-                                  base.vertex, remote.size(), 0, body->size());
-    static obs::Counter& forwards =
-        obs::Metrics::instance().counter("dps.mcast.forwards");
-    forwards.inc();
-  }
-#endif
-  mcast_ship(topo, remote, body);
 }
 
 // --- Flow control ------------------------------------------------------------
@@ -1635,12 +1536,6 @@ ContextId Controller::new_context_id() {
 void Controller::create_flow_account(ContextId ctx, uint32_t window) {
   auto acc = std::make_unique<FlowAccount>();
   acc->window = window;
-  if (cluster_.config().adaptive_flow) {
-    // No concurrency before the account is published; the lock only
-    // satisfies the GUARDED_BY annotation.
-    MutexLock al(acc->mu);
-    acc->adaptive = std::make_unique<AdaptiveWindow>(window);
-  }
   MutexLock lock(flow_mu_);
   if (flow_down_) {
     MutexLock al(acc->mu);
@@ -1658,24 +1553,17 @@ void Controller::flow_acquire(ContextId ctx, uint32_t min_window) {
     acc = it->second.get();
   }
   MutexLock lock(acc->mu);
-  // Static accounts freeze the tenant window at split start; adaptive ones
-  // re-read the controller's current window on every acquire. `min_window`
-  // keeps a collective live: its posting worker may also serve the merge
-  // that returns these very credits, so a wait that can only be satisfied
-  // by releases is a deadlock, not backpressure.
+  // `min_window` keeps a collective live: its posting worker may also
+  // serve the merge that returns these very credits, so a wait that can
+  // only be satisfied by releases is a deadlock, not backpressure.
+  const uint32_t window = std::max(acc->window, min_window);
   cluster_.domain().wait_until(acc->wp, acc->mu, [&] {
-    uint32_t window =
-        acc->adaptive != nullptr ? acc->adaptive->window() : acc->window;
-    if (window < min_window) window = min_window;
     return acc->poison || acc->in_flight < window;
   });
   if (acc->poison) {
     raise(Errc::kState, "shutdown while waiting for flow-control window");
   }
   ++acc->in_flight;
-  if (acc->adaptive != nullptr) {
-    acc->sends.push_back(cluster_.domain().now());
-  }
 #ifdef DPS_TRACE
   obs::Trace::instance().record(obs::EventKind::kFlowAcquire, self_, ctx, 0, 0,
                                 acc->in_flight);
@@ -1698,8 +1586,7 @@ void Controller::finish_flow_account(ContextId ctx) {
   if (drained) accounts_.erase(it);
 }
 
-void Controller::apply_flow_release(ContextId ctx, uint32_t n,
-                                    uint32_t receiver_depth) {
+void Controller::apply_flow_release(ContextId ctx, uint32_t n) {
   MutexLock lock(flow_mu_);
   auto it = accounts_.find(ctx);
   if (it == accounts_.end()) return;  // late ack after account drained
@@ -1708,29 +1595,6 @@ void Controller::apply_flow_release(ContextId ctx, uint32_t n,
     MutexLock al(it->second->mu);
     FlowAccount& acc = *it->second;
     acc.in_flight = (acc.in_flight >= n) ? acc.in_flight - n : 0;
-    if (acc.adaptive != nullptr) {
-      // Credit round trip, measured from the oldest outstanding acquire.
-      double rtt = 0;
-      if (!acc.sends.empty()) {
-        rtt = cluster_.domain().now() - acc.sends.front();
-        for (uint32_t i = 0; i < n && !acc.sends.empty(); ++i) {
-          acc.sends.pop_front();
-        }
-      }
-      if (acc.adaptive->on_ack(rtt, receiver_depth, n)) {
-#ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kFlowWindow, self_,
-                                        ctx, acc.adaptive->window(),
-                                        receiver_depth, acc.in_flight);
-          static obs::Gauge& window_gauge =
-              obs::Metrics::instance().gauge("dps.flow.window");
-          window_gauge.set(acc.adaptive->window());
-          window_gauge.update_max(acc.adaptive->window());
-        }
-#endif
-      }
-    }
 #ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kFlowRelease, self_, ctx, 0,
                                   n, acc.in_flight);
@@ -1741,17 +1605,15 @@ void Controller::apply_flow_release(ContextId ctx, uint32_t n,
   if (drained) accounts_.erase(it);
 }
 
-void Controller::send_flow_ack(const SplitFrame& frame, uint32_t n,
-                               uint32_t receiver_depth) {
+void Controller::send_flow_ack(const SplitFrame& frame, uint32_t n) {
   if (n == 0) return;
   if (frame.split_node == self_) {
-    apply_flow_release(frame.context, n, receiver_depth);
+    apply_flow_release(frame.context, n);
     return;
   }
   Writer w;
   w.put<ContextId>(frame.context);
   w.put<uint32_t>(n);
-  w.put<uint32_t>(receiver_depth);
   fabric_send(frame.split_node, FrameKind::kFlowAck, w.take());
 }
 
@@ -1943,30 +1805,20 @@ void Controller::fabric_send_shared(NodeId target, FrameKind kind,
   send_reliable_wrapped(target, kind, w.take(), std::move(body));
 }
 
-void Controller::mcast_ship(McastTopology topo,
-                            const std::vector<McastGroup>& groups,
+void Controller::mcast_ship(NodeId to, const McastEntry* entries, size_t n,
                             const SharedPayload& body) {
-  mcast_fanout(topo, groups, [&](NodeId to, const McastGroup* g,
-                                 size_t count) {
-    size_t n = 0;
-    for (size_t i = 0; i < count; ++i) n += g[i].entries.size();
-    Writer w(BufferPool::instance().acquire(mcast_header_size(n)));
-    w.put(static_cast<uint8_t>(topo));
-    w.put(static_cast<uint32_t>(n));
-    for (size_t i = 0; i < count; ++i) {
-      w.put_raw(g[i].entries.data(), g[i].entries.size() * sizeof(McastEntry));
-    }
-    BufferPool::instance().note_growth(w.growth_count());
-    mcast_frames_.fetch_add(1, std::memory_order_relaxed);
+  Writer w(BufferPool::instance().acquire(mcast_header_size(n)));
+  encode_mcast_header(w, entries, n);
+  BufferPool::instance().note_growth(w.growth_count());
+  mcast_frames_.fetch_add(1, std::memory_order_relaxed);
 #ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      static obs::Counter& frames =
-          obs::Metrics::instance().counter("dps.mcast.frames");
-      frames.inc();
-    }
+  if (obs::tracing_active()) {
+    static obs::Counter& frames =
+        obs::Metrics::instance().counter("dps.mcast.frames");
+    frames.inc();
+  }
 #endif
-    fabric_send_shared(to, FrameKind::kMcastEnvelope, w.take(), body);
-  });
+  fabric_send_shared(to, FrameKind::kMcastEnvelope, w.take(), body);
 }
 
 void Controller::send_envelope(NodeId target, FrameKind kind,
@@ -2062,8 +1914,7 @@ void Controller::send_reliable_wrapped(NodeId target, FrameKind kind,
   }
 }
 
-/// Receive-side bookkeeping for one sequenced frame; shared by the single
-/// and batched delivery paths. On a duplicate (retransmission that crossed
+/// Receive-side bookkeeping for one sequenced frame. On a duplicate (retransmission that crossed
 /// our ack, or an injected copy) returns false and leaves the cumulative
 /// ack to re-send in *ack_val so the sender stops.
 bool Controller::reliable_rx_locked(ReliableLink& l, uint64_t seq,
@@ -2083,66 +1934,6 @@ bool Controller::reliable_rx_locked(ReliableLink& l, uint64_t seq,
   }
   l.ack_pending = true;  // flushed by the next tick or piggybacked
   return true;
-}
-
-void Controller::handle_reliable(NodeMessage&& msg, DeliveryBatch* batch) {
-  Reader r(msg.payload.data(), msg.payload.size());
-  const uint64_t seq = r.get<uint64_t>();
-  const uint64_t ack = r.get<uint64_t>();
-  const FrameKind inner = static_cast<FrameKind>(r.get<uint16_t>());
-  const size_t header = msg.payload.size() - r.remaining();
-
-  bool deliver = false;
-  bool ack_now = false;
-  uint64_t ack_val = 0;
-  {
-    MutexLock lock(rel_mu_);
-    ReliableLink& l = rlink_locked(msg.from);
-    handle_ack_locked(l, msg.from, ack);
-    l.last_heard = mono_seconds();
-    deliver = reliable_rx_locked(l, seq, &ack_val);
-    ack_now = !deliver;
-  }
-#ifdef DPS_TRACE
-  if (!deliver && obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kDupSuppressed, self_,
-                                  msg.from, static_cast<uint64_t>(inner),
-                                  seq, 0);
-    static obs::Counter& dups =
-        obs::Metrics::instance().counter("dps.fabric.dup_suppressed");
-    dups.inc();
-  }
-#endif
-  if (ack_now) {
-    Writer w;
-    w.put<uint64_t>(ack_val);
-#ifdef DPS_TRACE
-    obs::Trace::instance().record(obs::EventKind::kAckSend, self_, msg.from, 0,
-                                  ack_val, 0);
-#endif
-    try {
-      cluster_.fabric().send(self_, msg.from, FrameKind::kAck, w.take());
-    } catch (const Error&) {
-      // ack lost: the duplicate will come again
-    }
-  }
-  if (deliver) {
-#ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                    msg.from, static_cast<uint64_t>(inner),
-                                    seq, msg.payload.size() - header);
-      static obs::Counter& received =
-          obs::Metrics::instance().counter("dps.fabric.frames_received");
-      received.inc();
-    }
-#endif
-    // Frames are self-contained engine messages: out-of-order delivery is
-    // harmless (merge contexts collect by SplitFrame, not arrival order),
-    // so deliver immediately instead of buffering behind the gap.
-    handle_frame(inner, msg.from, msg.payload.data() + header,
-                 msg.payload.size() - header, batch);
-  }
 }
 
 void Controller::handle_ack_locked(ReliableLink& l, NodeId from,

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -58,13 +57,15 @@ class Controller {
   /// Delivers an already-routed envelope (collection/thread set).
   void send(Envelope env);
 
-  /// Fabric delivery callback (non-blocking: enqueue + notify only).
+  /// Per-message fabric delivery callback: handed to on_fabric_batch as a
+  /// chunk of one.
   void on_fabric(NodeMessage&& msg);
 
-  /// Batched fabric delivery: every frame decoded from one receive chunk
-  /// arrives together, so envelopes bound for the same worker cost one
-  /// inbox append + one notify for the whole chunk, and reliable-link
-  /// seq/ack bookkeeping is applied under a single lock acquisition.
+  /// Fabric delivery (non-blocking: enqueue + notify only): every frame
+  /// decoded from one receive chunk arrives together, so envelopes bound
+  /// for the same worker cost one inbox append + one notify for the whole
+  /// chunk, and reliable-link seq/ack bookkeeping is applied under a single
+  /// lock acquisition.
   void on_fabric_batch(std::vector<NodeMessage>&& msgs);
 
   /// Stops and joins this node's workers. Idempotent.
@@ -176,8 +177,7 @@ class Controller {
   uint64_t multicast_encodes() const {
     return mcast_encodes_.load(std::memory_order_relaxed);
   }
-  /// kMcastEnvelope frames shipped from this node (root sends + relay
-  /// forwards).
+  /// kMcastEnvelope frames shipped from this node.
   uint64_t multicast_frames_sent() const {
     return mcast_frames_.load(std::memory_order_relaxed);
   }
@@ -228,18 +228,13 @@ class Controller {
   /// Split done; erase when drained — or immediately when poisoned, since
   /// a poisoned account's outstanding credits can never return.
   void finish_flow_account(ContextId ctx);
-  /// `receiver_depth` is the consuming worker's inbox depth piggybacked on
-  /// the ack — one input of the adaptive window controller.
-  void apply_flow_release(ContextId ctx, uint32_t n,
-                          uint32_t receiver_depth = 0);
+  void apply_flow_release(ContextId ctx, uint32_t n);
   /// Unblocks every flow waiter (node death / shutdown) and reaps the
   /// accounts whose splits already finished.
   void poison_flow_accounts();
   /// Returns `n` consumed-token credits to the split's flow account —
   /// locally, or as one batched kFlowAck frame (ExecCtx coalesces).
-  /// `receiver_depth` reports the consumer's current inbox depth.
-  void send_flow_ack(const SplitFrame& frame, uint32_t n,
-                     uint32_t receiver_depth);
+  void send_flow_ack(const SplitFrame& frame, uint32_t n);
 
   // Reliable delivery internals. fabric_send is the single exit point for
   // engine frames: it either forwards to the fabric directly or wraps the
@@ -252,16 +247,13 @@ class Controller {
   /// exactly-once composes per link over the one encoded payload.
   void fabric_send_shared(NodeId target, FrameKind kind,
                           std::vector<std::byte> prefix, SharedPayload body);
-  /// Ships one hop's worth of multicast frames over `groups` (posting-order
-  /// node groups) according to `topo`. Used by the posting root and by
-  /// relays forwarding a subtree.
-  void mcast_ship(McastTopology topo, const std::vector<McastGroup>& groups,
+  /// Ships one kMcastEnvelope frame carrying `n` destinations on node `to`
+  /// and the shared `body`.
+  void mcast_ship(NodeId to, const McastEntry* entries, size_t n,
                   const SharedPayload& body);
-  /// kMcastEnvelope arrival: decode the body once, deliver local entries
-  /// (token pointer shared between co-located receivers), forward remaining
-  /// subtree groups per the frame's topology.
-  void handle_mcast(NodeId from, const std::byte* data, size_t size,
-                    DeliveryBatch* batch);
+  /// kMcastEnvelope arrival: decode the body once and deliver every entry
+  /// (token pointer shared between co-located receivers).
+  void handle_mcast(const std::byte* data, size_t size, DeliveryBatch& batch);
   /// Encodes `env` into one exact-size pooled buffer and ships it — in
   /// reliable mode the kReliable header and envelope share that single
   /// buffer (no double-wrap copy).
@@ -272,12 +264,10 @@ class Controller {
   void send_reliable_wrapped(NodeId target, FrameKind kind,
                              std::vector<std::byte> wrapped,
                              SharedPayload body = nullptr);
-  /// `batch == nullptr` delivers envelopes directly (single-message path);
-  /// otherwise they are collected for one grouped inbox append per worker.
+  /// Envelopes are collected into `batch` for one grouped inbox append per
+  /// worker.
   void handle_frame(FrameKind kind, NodeId from,
-                    const std::byte* data, size_t size,
-                    DeliveryBatch* batch = nullptr);
-  void handle_reliable(NodeMessage&& msg, DeliveryBatch* batch = nullptr);
+                    const std::byte* data, size_t size, DeliveryBatch& batch);
   void handle_ack(NodeId from, uint64_t ack);
   void handle_ack_locked(ReliableLink& l, NodeId from, uint64_t ack)
       DPS_REQUIRES(rel_mu_);

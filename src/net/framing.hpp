@@ -36,9 +36,9 @@ enum class FrameKind : uint16_t {
   kPeerDown = 9,   ///< synthesized by a fabric: peer channel failed
                    ///< (payload = human-readable reason)
   // Multicast collectives (docs/PERFORMANCE.md):
-  kMcastEnvelope = 10,  ///< one envelope body fanned out to K destinations:
-                        ///< [u8 topology | u32 n | n x {node,thread,seq} |
-                        ///<  envelope body]
+  kMcastEnvelope = 10,  ///< one envelope body fanned out to the K
+                        ///< destinations of one node:
+                        ///< [u32 n | n x {node,thread,seq} | envelope body]
 };
 
 /// On the wire a frame's payload is `payload` followed by `*shared` (when

@@ -73,15 +73,13 @@ enum class EventKind : uint16_t {
   kSvcShed = 28,        ///< service call shed with kBackpressure (a=tenant)
   kSvcDeadline = 29,    ///< call retired by deadline expiry (a=tenant)
 
-  // Multicast collectives + adaptive flow control (docs/PERFORMANCE.md).
+  // Multicast collectives (docs/PERFORMANCE.md). Ids 31 and 33 are
+  // retired (multicast relay forward, adaptive window change) and stay
+  // reserved so older binary traces keep decoding.
   kMcastSend = 30,     ///< collective posted (a=target vertex, b=K,
                        ///< c=remote dests, d=encoded body bytes)
-  kMcastForward = 31,  ///< relay forwarded a subtree (a=target vertex,
-                       ///< b=groups, d=body bytes)
   kMcastDeliver = 32,  ///< local deliveries of one frame (a=target vertex,
                        ///< b=delivered, c=header entries, d=body bytes)
-  kFlowWindow = 33,    ///< adaptive window changed (a=flow context,
-                       ///< b=new window, c=receiver depth, d=in_flight)
 
   // Intra-node fast path: work stealing + shared-memory fabric.
   kSteal = 34,     ///< idle worker stole queued work (a=collection,

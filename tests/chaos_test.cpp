@@ -590,41 +590,90 @@ TEST(Chaos, McastExactlyOnceUnderSeededFaultSweepInprocAndTcp) {
   EXPECT_GT(duplicated, 0u) << "the sweep must have injected duplicates";
 }
 
-// The tree fan-out relays kMcastEnvelope frames through intermediate nodes;
-// each hop is its own reliable link, so exactly-once must survive the same
-// sweep when forwarding is in play.
-TEST(Chaos, McastTreeTopologySurvivesSeededFaults) {
-  const uint32_t seed = dps_testing::effective_seed(0x7ee3);
-  SCOPED_TRACE(::testing::Message() << "seed " << seed);
-  constexpr int kFanout = 8;
-  uint64_t dropped = 0;
-  for (int round = 0; round < 2; ++round) {
-    FaultPlan plan;
-    plan.seed = seed + static_cast<uint64_t>(round) * 0x9e3779b9u;
-    plan.all.drop = 0.04;
-    plan.all.duplicate_every = 6;
-    ClusterConfig cfg = ClusterConfig::inproc(4);
-    cfg.mcast_topology = McastTopology::kTree;
-    auto chaos = std::make_shared<ChaosFabric>(
-        std::make_shared<InprocFabric>(4), plan);
-    cfg.external_fabric = chaos;
-    cfg.fault.reliable = true;
-    Cluster cluster(cfg);
-    Application app(cluster, "bcast");
-    auto graph = dps_mcast::build_bcast_graph(app, kFanout);
-    ActorScope scope(cluster.domain(), "main");
-    for (int call = 0; call < 3; ++call) {
-      auto res = dps_mcast::run_bcast(
-          *graph, kFanout, 0x7ee30 + static_cast<uint64_t>(call), 1024);
-      ASSERT_TRUE(res) << "round " << round;
-      EXPECT_EQ(res->distinct, kFanout);
-      EXPECT_EQ(res->total, kFanout);
-      EXPECT_EQ(res->duplicates, 0);
-      EXPECT_EQ(res->uniform, 1);
-    }
-    dropped += chaos->frames_dropped();
+// A fabric that registers only the per-message handler: attach_batch keeps
+// Fabric's no-op default, so every frame reaches Controller::on_fabric one
+// at a time — the route SimFabric, ProcessFabric and the TCP peer-down
+// report take.
+class SingleHandlerFabric : public Fabric {
+ public:
+  explicit SingleHandlerFabric(std::shared_ptr<Fabric> inner)
+      : inner_(std::move(inner)) {}
+  void attach(NodeId self, Handler handler) override {
+    inner_->attach(self, [this, h = std::move(handler)](NodeMessage&& msg) {
+      delivered_.fetch_add(1, std::memory_order_relaxed);
+      h(std::move(msg));
+    });
   }
-  EXPECT_GT(dropped, 0u) << "the sweep must actually have exercised loss";
+  void send(NodeId from, NodeId to, FrameKind kind,
+            std::vector<std::byte> payload) override {
+    inner_->send(from, to, kind, std::move(payload));
+  }
+  void shutdown() override { inner_->shutdown(); }
+  uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
+  uint64_t messages_sent() const override { return inner_->messages_sent(); }
+  uint64_t delivered() const {
+    return delivered_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::shared_ptr<Fabric> inner_;
+  std::atomic<uint64_t> delivered_{0};
+};
+
+// Exactly-once over the per-message handler: unicast (toupper) and
+// multicast (bcast) calls under seeded drop, duplication and reordering
+// still produce the clean result, and the duplicate filter and the
+// retransmission timer both fire on this route.
+TEST(Chaos, SingleHandlerFabricDeliversExactlyOnce) {
+  const uint32_t seed = dps_testing::effective_seed(0x51a9);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  constexpr int kFanout = 6;
+  FaultPlan plan;
+  plan.seed = seed;
+  plan.all.drop = 0.05;
+  plan.all.duplicate = 0.08;
+  plan.all.duplicate_every = 5;
+  plan.all.delay_min = 0.0;
+  plan.all.delay_max = 0.001;  // reordering pressure
+  auto single =
+      std::make_shared<SingleHandlerFabric>(std::make_shared<InprocFabric>(3));
+  auto chaos = std::make_shared<ChaosFabric>(single, plan);
+  ClusterConfig cfg = ClusterConfig::inproc(3);
+  cfg.external_fabric = chaos;
+  cfg.fault.reliable = true;
+  Cluster cluster(cfg);
+  Application toupper(cluster, "toupper");
+  auto upper = build_toupper_graph(toupper, 4);
+  Application bcast(cluster, "bcast");
+  auto graph = dps_mcast::build_bcast_graph(bcast, kFanout);
+  ActorScope scope(cluster.domain(), "main");
+  for (int call = 0; call < 3; ++call) {
+    auto result =
+        token_cast<StringToken>(upper->call(new StringToken(kPhrase)));
+    ASSERT_TRUE(result) << "call " << call;
+    EXPECT_EQ(std::string(result->str, static_cast<size_t>(result->len)),
+              kPhraseUpper);
+    auto res = dps_mcast::run_bcast(
+        *graph, kFanout, 0x51a90 + static_cast<uint64_t>(call), 1024);
+    ASSERT_TRUE(res) << "call " << call;
+    EXPECT_EQ(res->distinct, kFanout);
+    EXPECT_EQ(res->total, kFanout);
+    EXPECT_EQ(res->duplicates, 0);
+    EXPECT_EQ(res->uniform, 1);
+  }
+  uint64_t suppressed = 0, retransmitted = 0;
+  for (NodeId n = 0; n < cluster.node_count(); ++n) {
+    suppressed += cluster.controller(n).duplicates_suppressed();
+    retransmitted += cluster.controller(n).retransmissions();
+  }
+  EXPECT_GT(single->delivered(), 0u)
+      << "frames must arrive through the per-message handler";
+  EXPECT_GT(chaos->frames_dropped(), 0u);
+  EXPECT_GT(chaos->frames_duplicated(), 0u);
+  EXPECT_GT(suppressed, 0u)
+      << "injected duplicates must be caught on the per-message route";
+  EXPECT_GT(retransmitted, 0u)
+      << "dropped frames must be resent on the per-message route";
 }
 
 // A link partition opened mid-collective must stall the multicast (reliable

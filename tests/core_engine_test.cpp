@@ -350,20 +350,22 @@ TEST(Mcast, EncodeCountStaysOnePerCollective) {
 }
 
 // The bcast app maps its master collection onto a single thread, so the
-// split and the merge share one worker. The adaptive window starts at 4 —
-// below the fan-out — and a collective that parked that worker in
-// flow_acquire would deadlock: the only releases come from the colocated
-// merge queued behind it. The collective window floor must keep it live,
-// over both fabrics (the huge static default window used to mask this).
-TEST(Mcast, AdaptiveWindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
-  constexpr int kFanout = 9;  // > AdaptiveWindowConfig initial window (4)
+// split and the merge share one worker. A static window of 4 sits below the
+// fan-out of 9, and a collective that parked that worker in flow_acquire
+// would deadlock: the only releases come from the colocated merge queued
+// behind it. The collective credit floor must keep it live, over both
+// fabrics (the huge default window masks this).
+TEST(Mcast, WindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
+  constexpr int kFanout = 9;
+  constexpr uint32_t kWindow = 4;
   for (const bool tcp : {false, true}) {
     SCOPED_TRACE(tcp ? "tcp" : "inproc");
     ClusterConfig cfg =
         tcp ? ClusterConfig::tcp(3) : ClusterConfig::inproc(3);
-    cfg.adaptive_flow = true;
+    cfg.flow_window = kWindow;
     Cluster cluster(cfg);
     Application app(cluster, "bcast");
+    ASSERT_EQ(cluster.controller(0).tenant_window(app.tenant()), kWindow);
     auto graph = dps_mcast::build_bcast_graph(app, kFanout);
     ActorScope scope(cluster.domain(), "main");
     for (int r = 0; r < 3; ++r) {
@@ -375,6 +377,7 @@ TEST(Mcast, AdaptiveWindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
       EXPECT_EQ(res->uniform, 1);
     }
     EXPECT_EQ(cluster.controller(0).multicast_encodes(), 3u);
+    EXPECT_EQ(cluster.controller(0).flow_account_count(), 0u);
   }
 }
 
