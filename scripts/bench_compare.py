@@ -12,8 +12,12 @@ series) are compared and printed but never fatal: on the shared 1-core
 host even the raw-socket control series — which contains no DPS code at
 all — swings up to +-40% between runs (EXPERIMENTS.md documents 8-200
 MB/s at 1 kB), so a hard gate there measures the neighbours, not the
-engine. The deterministic virtual-time series (`sim/` and everything in
-fig15_lu) reproduce bit-stable medians and carry the gate.
+engine. The virtual-time series (`sim/` and everything in fig15_lu) carry
+the gate. They are not bit-stable: fig15_lu runs its simulated cluster
+over real worker threads, and five runs of one binary of
+`fig15_lu 512 110 32` on a 4-core host spread 1.462-1.503 at
+nodes=4/pipelined and 1.146-1.165 at nodes=8/pipelined (about 3% and 2%).
+The gate rests on the 10% threshold sitting well outside that spread.
 
 Usage:
   scripts/bench_compare.py BENCH_pr3.json BENCH_pr5.json

@@ -26,10 +26,6 @@ sanitizers can express:
                       an exemption whose rationale no longer applies (same
                       spirit as the dead-tsan-filter rule).
 
-Trace gating (formerly rule 2 here) moved to scripts/dps_verify.py, which
-verifies it against the file's real preprocessor conditional structure
-instead of a line regex.
-
 Exit status 0 = clean; 1 = findings (printed one per line).
 """
 

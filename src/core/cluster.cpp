@@ -10,13 +10,10 @@
 #include "net/inproc_transport.hpp"
 #include "net/shm_fabric.hpp"
 #include "net/tcp_transport.hpp"
+#include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -382,10 +379,7 @@ void Cluster::mark_node_down(NodeId node, const std::string& reason) {
     if (down_ || !dead_.insert(node).second) return;
   }
   DPS_WARN("node '" << node_name(node) << "' declared down: " << reason);
-#ifdef DPS_TRACE
-  obs::Trace::instance().record(obs::EventKind::kNodeDown, node, node, 0, 0,
-                                0);
-#endif
+  obs::Trace::record(obs::EventKind::kNodeDown, node, node, 0, 0, 0);
   for (NodeId i = 0; i < controllers_.size(); ++i) {
     if (is_local(i)) controllers_[i]->on_node_down(node);
   }

@@ -16,14 +16,11 @@
 #include "core/cluster.hpp"
 #include "core/run_queue.hpp"
 #include "core/thread_collection.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serial/buffer_pool.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -176,7 +173,6 @@ class Controller::ExecCtx : public detail::OpServices {
   void run() {
     const Flowgraph::Vertex& v = graph_.vertex(vertex_);
     kind_ = v.kind;
-#ifdef DPS_TRACE
     // Identity fields for kOpStart/kOpEnd pairing (obs::TraceQuery keys
     // intervals on thread/vertex/context/seq).
     const bool t_on = obs::tracing_active();
@@ -185,12 +181,9 @@ class Controller::ExecCtx : public detail::OpServices {
       t_ctx = env_.frames.empty() ? 0 : env_.frames.back().context;
       t_seq = env_.frames.empty() ? 0 : env_.frames.back().seq;
       t_begin = obs::trace_clock_ns();
-      obs::Trace::instance().record(obs::EventKind::kOpStart,
-                                    controller_.self(), vertex_,
-                                    static_cast<uint64_t>(kind_), t_ctx,
-                                    t_seq);
+      obs::Trace::record(obs::EventKind::kOpStart, controller_.self(), vertex_,
+                         static_cast<uint64_t>(kind_), t_ctx, t_seq);
     }
-#endif
     std::unique_ptr<Operation> op(v.op->create());
     op->services_ = this;
 
@@ -300,13 +293,11 @@ class Controller::ExecCtx : public detail::OpServices {
         throw;
       }
       controller_.finish_flow_account(split_ctx_);
-#ifdef DPS_TRACE
       if (t_on) {
         static obs::Histogram& fanout =
             obs::Metrics::instance().histogram("dps.split.fanout");
         fanout.observe(posted_);
       }
-#endif
     }
     if (kind_ == OpKind::kLeaf && posted_ != 1) {
       raise(Errc::kState, "leaf operation must post exactly one token, got " +
@@ -316,17 +307,13 @@ class Controller::ExecCtx : public detail::OpServices {
       raise(Errc::kState, "merge operation must post exactly one token, got " +
                               std::to_string(posted_));
     }
-#ifdef DPS_TRACE
     if (t_on) {
-      obs::Trace::instance().record(obs::EventKind::kOpEnd,
-                                    controller_.self(), vertex_,
-                                    static_cast<uint64_t>(kind_), t_ctx,
-                                    t_seq);
+      obs::Trace::record(obs::EventKind::kOpEnd, controller_.self(), vertex_,
+                         static_cast<uint64_t>(kind_), t_ctx, t_seq);
       static obs::Histogram& op_latency =
           obs::Metrics::instance().histogram("dps.op.latency_ns");
       op_latency.observe(obs::trace_clock_ns() - t_begin);
     }
-#endif
   }
 
   // --- OpServices -----------------------------------------------------------
@@ -534,17 +521,13 @@ class Controller::ExecCtx : public detail::OpServices {
       controller_.mcast_encodes_.fetch_add(1, std::memory_order_relaxed);
     }
 
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kMcastSend,
-                                    controller_.self_, target, K,
-                                    remote_count,
-                                    body == nullptr ? 0 : body->size());
+      obs::Trace::record(obs::EventKind::kMcastSend, controller_.self_, target,
+                         K, remote_count, body == nullptr ? 0 : body->size());
       static obs::Counter& collectives =
           obs::Metrics::instance().counter("dps.mcast.collectives");
       collectives.inc();
     }
-#endif
 
     // Local destinations: envelope copies sharing the token pointer.
     for (const McastEntry& e : entries) {
@@ -610,11 +593,9 @@ class Controller::ExecCtx : public detail::OpServices {
         if (worker_.depth_slot != nullptr) {
           worker_.depth_slot->fetch_sub(1, std::memory_order_relaxed);
         }
-#ifdef DPS_TRACE
-        obs::Trace::instance().record(
-            obs::EventKind::kDequeue, controller_.self(), env2.vertex,
-            worker_.collection, worker_.index, worker_.run.size());
-#endif
+        obs::Trace::record(obs::EventKind::kDequeue, controller_.self(),
+                           env2.vertex, worker_.collection, worker_.index,
+                           worker_.run.size());
         if (matched) {
           const SplitFrame f = env2.frames.back();
           ++received_;
@@ -838,11 +819,7 @@ Controller::Worker& Controller::worker(CollectionId collection,
 void Controller::worker_loop(Worker& w) {
   ExecDomain& domain = cluster_.domain();
   domain.actor_started(w.label.c_str());
-#ifdef DPS_TRACE
-  if (obs::Trace::instance().enabled()) {
-    obs::Trace::instance().set_thread_name(w.label);
-  }
-#endif
+  if (obs::tracing_active()) obs::Trace::instance().set_thread_name(w.label);
   // Under virtual time, this DPS thread competes for its node's CPUs.
   domain.bind_cpu(static_cast<int>(self_));
   pin_worker(w);
@@ -873,10 +850,8 @@ void Controller::worker_loop(Worker& w) {
     if (w.depth_slot != nullptr) {
       w.depth_slot->fetch_sub(1, std::memory_order_relaxed);
     }
-#ifdef DPS_TRACE
-    obs::Trace::instance().record(obs::EventKind::kDequeue, self_, env.vertex,
-                                  w.collection, w.index, w.run.size());
-#endif
+    obs::Trace::record(obs::EventKind::kDequeue, self_, env.vertex,
+                       w.collection, w.index, w.run.size());
     try {
       dispatch(w, std::move(env));
     } catch (const Error& e) {
@@ -919,13 +894,11 @@ void Controller::pin_worker(Worker& w) {
   CPU_SET(cpu, &set);
   if (sched_setaffinity(0, sizeof(set), &set) == 0) {
     w.pinned_cpu.store(cpu, std::memory_order_relaxed);
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
       static obs::Gauge& pinned =
           obs::Metrics::instance().gauge("dps.sched.pinned_workers");
       pinned.add(1);
     }
-#endif
   }
 #else
   (void)w;
@@ -983,18 +956,8 @@ bool Controller::try_steal(Worker& w) {
   }
   steals_.fetch_add(1, std::memory_order_relaxed);
   stolen_envelopes_.fetch_add(n, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kSteal, self_, w.collection,
-                                  victim->index, w.index, n);
-    static obs::Counter& steals =
-        obs::Metrics::instance().counter("dps.sched.steals");
-    steals.inc();
-    static obs::Counter& stolen =
-        obs::Metrics::instance().counter("dps.sched.stolen_envelopes");
-    stolen.inc(n);
-  }
-#endif
+  obs::Trace::record(obs::EventKind::kSteal, self_, w.collection,
+                     victim->index, w.index, n);
   // The loot is a FIFO prefix of one (vertex, context) run; re-pushing in
   // order makes this worker execute it in exactly that order.
   for (Envelope& env : loot) w.run.push(std::move(env), true);
@@ -1054,13 +1017,6 @@ bool Controller::drain_inbox(Worker& w) {
 
 void Controller::dispatch(Worker& w, Envelope env) {
   dispatched_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    static obs::Counter& tokens =
-        obs::Metrics::instance().counter("dps.tokens.dispatched");
-    tokens.inc();
-  }
-#endif
   Application* app = cluster_.app(env.app);
   std::shared_ptr<Flowgraph> graph = app->graph(env.graph);
   DPS_CHECK(graph != nullptr, "envelope names an unknown graph");
@@ -1205,30 +1161,21 @@ void Controller::send(Envelope env) {
 
 void Controller::deliver_local(Envelope env) {
   Worker& w = worker(env.collection, env.thread);
-#ifdef DPS_TRACE
-  const bool t_on = obs::tracing_active();
-  const uint64_t t_vertex = env.vertex;
-  const uint64_t t_coll = env.collection;
-  const uint64_t t_thread = env.thread;
-  uint64_t t_depth = 0;
-#endif
   MutexLock lock(w.mu);
+  if (obs::tracing_active()) {
+    const uint64_t depth = w.inbox.size() + 1;
+    obs::Trace::record(obs::EventKind::kEnqueue, self_, env.vertex,
+                       env.collection, env.thread, depth);
+    static obs::Gauge& depth_gauge =
+        obs::Metrics::instance().gauge("dps.queue.depth");
+    depth_gauge.set(static_cast<int64_t>(depth));
+    depth_gauge.update_max(static_cast<int64_t>(depth));
+  }
   w.inbox.push_back(std::move(env));
   w.inbox_count.fetch_add(1, std::memory_order_relaxed);
   if (w.depth_slot != nullptr) {
     w.depth_slot->fetch_add(1, std::memory_order_relaxed);
   }
-#ifdef DPS_TRACE
-  if (t_on) {
-    t_depth = w.inbox.size();
-    obs::Trace::instance().record(obs::EventKind::kEnqueue, self_, t_vertex,
-                                  t_coll, t_thread, t_depth);
-    static obs::Gauge& depth_gauge =
-        obs::Metrics::instance().gauge("dps.queue.depth");
-    depth_gauge.set(static_cast<int64_t>(t_depth));
-    depth_gauge.update_max(static_cast<int64_t>(t_depth));
-  }
-#endif
   cluster_.domain().notify_all(w.wp);
 }
 
@@ -1264,33 +1211,26 @@ class Controller::DeliveryBatch {
     for (auto& g : groups_) {
       Worker& w = *g.worker;
       const uint32_t n = static_cast<uint32_t>(g.envs.size());
-#ifdef DPS_TRACE
       const bool t_on = obs::tracing_active();
-#endif
       MutexLock lock(w.mu);
       for (Envelope& env : g.envs) {
-#ifdef DPS_TRACE
         if (t_on) {
-          obs::Trace::instance().record(obs::EventKind::kEnqueue,
-                                        controller_.self(), env.vertex,
-                                        w.collection, w.index,
-                                        w.inbox.size() + 1);
+          obs::Trace::record(obs::EventKind::kEnqueue, controller_.self(),
+                             env.vertex, w.collection, w.index,
+                             w.inbox.size() + 1);
         }
-#endif
         w.inbox.push_back(std::move(env));
       }
       w.inbox_count.fetch_add(n, std::memory_order_relaxed);
       if (w.depth_slot != nullptr) {
         w.depth_slot->fetch_add(n, std::memory_order_relaxed);
       }
-#ifdef DPS_TRACE
       if (t_on) {
         static obs::Gauge& depth_gauge =
             obs::Metrics::instance().gauge("dps.queue.depth");
         depth_gauge.set(static_cast<int64_t>(w.inbox.size()));
         depth_gauge.update_max(static_cast<int64_t>(w.inbox.size()));
       }
-#endif
       controller_.cluster_.domain().notify_all(w.wp);
     }
     groups_.clear();
@@ -1371,17 +1311,14 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
         break;
       }
       default: {
-#ifdef DPS_TRACE
         if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                        msg.from,
-                                        static_cast<uint64_t>(msg.kind), 0,
-                                        msg.payload.size());
+          obs::Trace::record(obs::EventKind::kFabricRecv, self_, msg.from,
+                             static_cast<uint64_t>(msg.kind), 0,
+                             msg.payload.size());
           static obs::Counter& received_raw =
               obs::Metrics::instance().counter("dps.fabric.frames_received");
           received_raw.inc();
         }
-#endif
         handle_frame(msg.kind, msg.from, msg.payload.data(),
                      msg.payload.size(), batch);
       }
@@ -1406,17 +1343,8 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
       uint64_t ack_val = 0;
       item.deliver = reliable_rx_locked(l, item.seq, &ack_val);
       if (!item.deliver) {
-#ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kDupSuppressed,
-                                        self_, from,
-                                        static_cast<uint64_t>(item.inner),
-                                        item.seq, 0);
-          static obs::Counter& dups =
-              obs::Metrics::instance().counter("dps.fabric.dup_suppressed");
-          dups.inc();
-        }
-#endif
+        obs::Trace::record(obs::EventKind::kDupSuppressed, self_, from,
+                           static_cast<uint64_t>(item.inner), item.seq, 0);
         bool found = false;
         for (auto& a : acks) {
           if (a.peer == from) {
@@ -1431,10 +1359,7 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
   for (const PendingAck& a : acks) {
     Writer w;
     w.put<uint64_t>(a.val);
-#ifdef DPS_TRACE
-    obs::Trace::instance().record(obs::EventKind::kAckSend, self_, a.peer, 0,
-                                  a.val, 0);
-#endif
+    obs::Trace::record(obs::EventKind::kAckSend, self_, a.peer, 0, a.val, 0);
     try {
       cluster_.fabric().send(self_, a.peer, FrameKind::kAck, w.take());
     } catch (const Error&) {
@@ -1447,18 +1372,14 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
   for (const RelItem& item : rel) {
     if (!item.deliver) continue;
     NodeMessage& msg = msgs[item.index];
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                    msg.from,
-                                    static_cast<uint64_t>(item.inner),
-                                    item.seq,
-                                    msg.payload.size() - item.header);
+      obs::Trace::record(obs::EventKind::kFabricRecv, self_, msg.from,
+                         static_cast<uint64_t>(item.inner), item.seq,
+                         msg.payload.size() - item.header);
       static obs::Counter& received =
           obs::Metrics::instance().counter("dps.fabric.frames_received");
       received.inc();
     }
-#endif
     handle_frame(item.inner, msg.from, msg.payload.data() + item.header,
                  msg.payload.size() - item.header, batch);
   }
@@ -1514,16 +1435,14 @@ void Controller::handle_mcast(const std::byte* data, size_t size,
     env.frames.back().seq = e.seq;
     batch.add(std::move(env));
   }
-#ifdef DPS_TRACE
   if (!entries.empty() && obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kMcastDeliver, self_,
-                                  base.vertex, entries.size(), entries.size(),
-                                  size - mcast_header_size(entries.size()));
+    obs::Trace::record(obs::EventKind::kMcastDeliver, self_, base.vertex,
+                       entries.size(), entries.size(),
+                       size - mcast_header_size(entries.size()));
     static obs::Counter& deliveries =
         obs::Metrics::instance().counter("dps.mcast.deliveries");
     deliveries.inc(entries.size());
   }
-#endif
 }
 
 // --- Flow control ------------------------------------------------------------
@@ -1564,10 +1483,8 @@ void Controller::flow_acquire(ContextId ctx, uint32_t min_window) {
     raise(Errc::kState, "shutdown while waiting for flow-control window");
   }
   ++acc->in_flight;
-#ifdef DPS_TRACE
-  obs::Trace::instance().record(obs::EventKind::kFlowAcquire, self_, ctx, 0, 0,
-                                acc->in_flight);
-#endif
+  obs::Trace::record(obs::EventKind::kFlowAcquire, self_, ctx, 0, 0,
+                     acc->in_flight);
 }
 
 void Controller::finish_flow_account(ContextId ctx) {
@@ -1595,10 +1512,8 @@ void Controller::apply_flow_release(ContextId ctx, uint32_t n) {
     MutexLock al(it->second->mu);
     FlowAccount& acc = *it->second;
     acc.in_flight = (acc.in_flight >= n) ? acc.in_flight - n : 0;
-#ifdef DPS_TRACE
-    obs::Trace::instance().record(obs::EventKind::kFlowRelease, self_, ctx, 0,
-                                  n, acc.in_flight);
-#endif
+    obs::Trace::record(obs::EventKind::kFlowRelease, self_, ctx, 0, n,
+                       acc.in_flight);
     cluster_.domain().notify_all(acc.wp);
     drained = acc.finished && acc.in_flight == 0;
   }
@@ -1652,27 +1567,9 @@ void Controller::admit_call(TenantId tenant, const Flowgraph& target) {
     }
   }
 
-#ifdef DPS_TRACE
-  {
-    static obs::Counter& admitted =
-        obs::Metrics::instance().counter("dps.svc.admitted");
-    static obs::Counter& shed = obs::Metrics::instance().counter("dps.svc.shed");
-    static obs::Gauge& inflight_g =
-        obs::Metrics::instance().gauge("dps.svc.inflight");
-    if (why == nullptr) {
-      admitted.inc();
-      inflight_g.add(1);
-      inflight_g.update_max(inflight);
-    } else {
-      shed.inc();
-    }
-  }
-  if (obs::tracing_active()) {
-    obs::Trace::instance().record(
-        why == nullptr ? obs::EventKind::kSvcAdmit : obs::EventKind::kSvcShed,
-        self_, tenant, 0, 0, inflight);
-  }
-#endif
+  obs::Trace::record(
+      why == nullptr ? obs::EventKind::kSvcAdmit : obs::EventKind::kSvcShed,
+      self_, tenant, 0, 0, inflight);
 
   if (why != nullptr) {
     raise(Errc::kBackpressure,
@@ -1689,22 +1586,9 @@ void Controller::retire_call(TenantId tenant, bool deadline_expired) {
     --s.inflight;
     if (deadline_expired) ++s.deadline_expired;
   }
-#ifdef DPS_TRACE
-  {
-    static obs::Gauge& inflight_g =
-        obs::Metrics::instance().gauge("dps.svc.inflight");
-    inflight_g.sub(1);
-    if (deadline_expired) {
-      static obs::Counter& expired =
-          obs::Metrics::instance().counter("dps.svc.deadline_expired");
-      expired.inc();
-    }
+  if (deadline_expired) {
+    obs::Trace::record(obs::EventKind::kSvcDeadline, self_, tenant, 0, 0, 0);
   }
-  if (deadline_expired && obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kSvcDeadline, self_, tenant,
-                                  0, 0, 0);
-  }
-#endif
 }
 
 Controller::SvcStats Controller::svc_stats(TenantId tenant) const {
@@ -1753,16 +1637,13 @@ Controller::ReliableLink& Controller::rlink_locked(NodeId peer) {
 void Controller::fabric_send(NodeId target, FrameKind kind,
                              std::vector<std::byte> payload) {
   if (!reliable_) {
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricSend, self_,
-                                    target, static_cast<uint64_t>(kind), 0,
-                                    payload.size());
+      obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
+                         static_cast<uint64_t>(kind), 0, payload.size());
       static obs::Counter& sent_raw =
           obs::Metrics::instance().counter("dps.fabric.frames_sent");
       sent_raw.inc();
     }
-#endif
     cluster_.fabric().send(self_, target, kind, std::move(payload));
     return;
   }
@@ -1778,17 +1659,14 @@ void Controller::fabric_send_shared(NodeId target, FrameKind kind,
                                     std::vector<std::byte> prefix,
                                     SharedPayload body) {
   if (!reliable_) {
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(
-          obs::EventKind::kFabricSend, self_, target,
-          static_cast<uint64_t>(kind), 0,
-          prefix.size() + (body == nullptr ? 0 : body->size()));
+      obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
+                         static_cast<uint64_t>(kind), 0,
+                         prefix.size() + (body == nullptr ? 0 : body->size()));
       static obs::Counter& sent_raw =
           obs::Metrics::instance().counter("dps.fabric.frames_sent");
       sent_raw.inc();
     }
-#endif
     cluster_.fabric().send_shared(self_, target, kind, std::move(prefix),
                                   std::move(body));
     return;
@@ -1811,13 +1689,6 @@ void Controller::mcast_ship(NodeId to, const McastEntry* entries, size_t n,
   encode_mcast_header(w, entries, n);
   BufferPool::instance().note_growth(w.growth_count());
   mcast_frames_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    static obs::Counter& frames =
-        obs::Metrics::instance().counter("dps.mcast.frames");
-    frames.inc();
-  }
-#endif
   fabric_send_shared(to, FrameKind::kMcastEnvelope, w.take(), body);
 }
 
@@ -1832,16 +1703,13 @@ void Controller::send_envelope(NodeId target, FrameKind kind,
     Writer w(BufferPool::instance().acquire(body));
     env.encode(w);
     BufferPool::instance().note_growth(w.growth_count());
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricSend, self_,
-                                    target, static_cast<uint64_t>(kind), 0,
-                                    w.size());
+      obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
+                         static_cast<uint64_t>(kind), 0, w.size());
       static obs::Counter& sent_raw =
           obs::Metrics::instance().counter("dps.fabric.frames_sent");
       sent_raw.inc();
     }
-#endif
     cluster_.fabric().send(self_, target, kind, w.take());
     return;
   }
@@ -1859,11 +1727,7 @@ void Controller::send_reliable_wrapped(NodeId target, FrameKind kind,
                                        SharedPayload body) {
   const FaultToleranceConfig& ft = cluster_.config().fault;
   std::vector<std::byte> out;
-#ifdef DPS_TRACE
-  uint64_t t_seq = 0;
-  const uint64_t t_size = wrapped.size() - kRelHeaderSize +
-                          (body == nullptr ? 0 : body->size());
-#endif
+  uint64_t seq = 0;
   {
     MutexLock lock(rel_mu_);
     ReliableLink& l = rlink_locked(target);
@@ -1872,10 +1736,7 @@ void Controller::send_reliable_wrapped(NodeId target, FrameKind kind,
       BufferPool::instance().release(std::move(wrapped));
       return;
     }
-    const uint64_t seq = l.next_seq++;
-#ifdef DPS_TRACE
-    t_seq = seq;
-#endif
+    seq = l.next_seq++;
     patch_u64(wrapped, kRelSeqOffset, seq);
     patch_u64(wrapped, kRelAckOffset, l.rx_contig);  // piggybacked ack
     l.acked_sent = std::max(l.acked_sent, l.rx_contig);
@@ -1889,15 +1750,15 @@ void Controller::send_reliable_wrapped(NodeId target, FrameKind kind,
     out = p.wrapped;  // the in-flight copy; the original arms retransmission
     l.unacked.emplace(seq, std::move(p));
   }
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kFabricSend, self_, target,
-                                  static_cast<uint64_t>(kind), t_seq, t_size);
+    obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
+                       static_cast<uint64_t>(kind), seq,
+                       out.size() - kRelHeaderSize +
+                           (body == nullptr ? 0 : body->size()));
     static obs::Counter& sent =
         obs::Metrics::instance().counter("dps.fabric.frames_sent");
     sent.inc();
   }
-#endif
   try {
     if (body != nullptr) {
       cluster_.fabric().send_shared(self_, target, FrameKind::kReliable,
@@ -1938,12 +1799,7 @@ bool Controller::reliable_rx_locked(ReliableLink& l, uint64_t seq,
 
 void Controller::handle_ack_locked(ReliableLink& l, NodeId from,
                                    uint64_t ack) {
-#ifdef DPS_TRACE
-  obs::Trace::instance().record(obs::EventKind::kAckRecv, self_, from, 0, ack,
-                                0);
-#else
-  (void)from;
-#endif
+  obs::Trace::record(obs::EventKind::kAckRecv, self_, from, 0, ack, 0);
   auto end = l.unacked.upper_bound(ack);
   for (auto it = l.unacked.begin(); it != end; ++it) {
     BufferPool::instance().release(std::move(it->second.wrapped));
@@ -1976,10 +1832,8 @@ std::vector<NodeId> Controller::reliability_tick(double now) {
       if (l.ack_pending && l.rx_contig > l.acked_sent) {
         Writer w;
         w.put<uint64_t>(l.rx_contig);
-#ifdef DPS_TRACE
-        obs::Trace::instance().record(obs::EventKind::kAckSend, self_, peer, 0,
-                                      l.rx_contig, 0);
-#endif
+        obs::Trace::record(obs::EventKind::kAckSend, self_, peer, 0,
+                           l.rx_contig, 0);
         outs.push_back({peer, FrameKind::kAck, w.take(), nullptr});
         l.acked_sent = l.rx_contig;
         l.ack_pending = false;
@@ -2002,18 +1856,12 @@ std::vector<NodeId> Controller::reliability_tick(double now) {
         patch_u64(p.wrapped, kRelAckOffset, l.rx_contig);
         l.acked_sent = std::max(l.acked_sent, l.rx_contig);
         outs.push_back({peer, FrameKind::kReliable, p.wrapped, p.body});
-        retransmissions_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kRetransmit, self_,
-                                        peer, static_cast<uint64_t>(p.kind),
-                                        seq,
-                                        static_cast<uint64_t>(p.retries));
-          static obs::Counter& rtx =
-              obs::Metrics::instance().counter("dps.fabric.retransmits");
-          rtx.inc();
-        }
-#endif
+        // Recorded before the count, so a reader that sees the count also
+        // finds the event in the flight recorder.
+        obs::Trace::record(obs::EventKind::kRetransmit, self_, peer,
+                           static_cast<uint64_t>(p.kind), seq,
+                           static_cast<uint64_t>(p.retries));
+        retransmissions_.fetch_add(1, std::memory_order_release);
       }
     }
   }
@@ -2049,10 +1897,8 @@ void Controller::send_heartbeats(double now) {
       w.put<uint64_t>(l.rx_contig);  // heartbeats double as ack carriers
       l.acked_sent = std::max(l.acked_sent, l.rx_contig);
       l.ack_pending = false;
-#ifdef DPS_TRACE
-      obs::Trace::instance().record(obs::EventKind::kHeartbeat, self_, peer, 0,
-                                    l.rx_contig, 0);
-#endif
+      obs::Trace::record(obs::EventKind::kHeartbeat, self_, peer, 0,
+                         l.rx_contig, 0);
       outs.push_back({peer, w.take()});
     }
   }

@@ -76,8 +76,8 @@ class Controller {
 
   // --- work stealing (docs/PERFORMANCE.md) ----------------------------------
   /// Always-on stealing counters (ClusterConfig::work_stealing): steal
-  /// operations and envelopes moved. The dps.sched.steals metric mirrors
-  /// these under DPS_TRACE; tests assert on the accessors in every flavor.
+  /// operations and envelopes moved. Each steal is also a kSteal event
+  /// while the flight recorder runs.
   uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
   uint64_t stolen_envelopes() const {
     return stolen_envelopes_.load(std::memory_order_relaxed);
@@ -94,10 +94,9 @@ class Controller {
   std::vector<WorkerPin> worker_pinning() const;
 
   // --- service-mesh admission control (docs/SERVICE_MESH.md) ----------------
-  /// Always-on per-tenant admission counters. The authoritative source of
-  /// the dps.svc.{admitted,shed,deadline_expired,inflight} metrics (the
-  /// obs mirrors only exist under DPS_TRACE); benches and tests assert on
-  /// these in every build flavor.
+  /// Always-on per-tenant admission counters, the one count of admission
+  /// outcomes; benches and tests assert on these. The flight recorder adds
+  /// kSvcAdmit/kSvcShed/kSvcDeadline events while it runs.
   struct SvcStats {
     uint64_t admitted = 0;          ///< calls that passed admission
     uint64_t shed = 0;              ///< calls refused with kBackpressure
@@ -165,15 +164,15 @@ class Controller {
   }
   /// Frames re-sent by the retransmission timer (tests).
   uint64_t retransmissions() const {
-    return retransmissions_.load(std::memory_order_relaxed);
+    return retransmissions_.load(std::memory_order_acquire);
   }
 
   // --- multicast collectives (docs/PERFORMANCE.md) --------------------------
   /// Envelope bodies encoded for multicast on this node. The one-encode-
   /// K-transmit invariant is `multicast_encodes() == collectives with >= 1
   /// remote destination` while `multicast_frames_sent()` counts the actual
-  /// kMcastEnvelope transmits — always-on so every build flavor can assert
-  /// it (tests/core_engine_test.cpp).
+  /// kMcastEnvelope transmits — always-on so tests can assert it
+  /// (tests/core_engine_test.cpp).
   uint64_t multicast_encodes() const {
     return mcast_encodes_.load(std::memory_order_relaxed);
   }

@@ -2,10 +2,8 @@
 
 #include "life/fast_step.hpp"
 #include "obs/metrics.hpp"
-#include "util/error.hpp"
-#ifdef DPS_TRACE
 #include "obs/trace.hpp"
-#endif
+#include "util/error.hpp"
 
 namespace dps::life {
 
@@ -109,56 +107,50 @@ void step_borders_naive(const Band& band, const std::vector<uint8_t>& above,
 
 namespace {
 
-/// Cells stepped through the backend seam — always on, so production
-/// deployments can watch leaf throughput without the flight recorder.
-obs::Counter& leaf_cells_counter() {
-  static obs::Counter& c = obs::Metrics::instance().counter("dps.leaf.cells");
-  return c;
-}
+/// One leaf kernel call as the flight recorder sees it. While recording,
+/// it counts the stepped cells on `dps.leaf.cells` and records a kLeafStep
+/// interval (a=kernel id, b=rows, c=cols, d=ns); otherwise it costs one
+/// relaxed load + branch.
+class LeafStep {
+ public:
+  LeafStep(const LifeKernel& kernel, const Band& band, uint64_t cells)
+      : kernel_(kernel), band_(band) {
+    if (!obs::tracing_active()) return;
+    static obs::Counter& c = obs::Metrics::instance().counter("dps.leaf.cells");
+    c.inc(cells);
+    t0_ = obs::trace_clock_ns();
+  }
+  ~LeafStep() {
+    if (t0_ == 0) return;
+    obs::Trace::record(obs::EventKind::kLeafStep, 0, kernel_.id,
+                       static_cast<uint64_t>(band_.rows()),
+                       static_cast<uint64_t>(band_.cols()),
+                       obs::trace_clock_ns() - t0_);
+  }
+  LeafStep(const LeafStep&) = delete;
+  LeafStep& operator=(const LeafStep&) = delete;
 
-/// Records one kLeafStep kernel interval when the flight recorder is
-/// compiled in and enabled (a=kernel id, b=rows, c=cols, d=ns).
-#ifdef DPS_TRACE
-struct LeafStepInterval {
-  const LifeKernel& kernel;
-  uint64_t rows, cols;
-  uint64_t t0 = 0;
-  LeafStepInterval(const LifeKernel& k, uint64_t r, uint64_t c)
-      : kernel(k), rows(r), cols(c) {
-    if (obs::tracing_active()) t0 = obs::trace_clock_ns();
-  }
-  ~LeafStepInterval() {
-    if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kLeafStep, 0, kernel.id,
-                                    rows, cols, obs::trace_clock_ns() - t0);
-    }
-  }
+ private:
+  const LifeKernel& kernel_;
+  const Band& band_;
+  uint64_t t0_ = 0;
 };
-#define DPS_LEAF_INTERVAL(kernel, rows, cols) \
-  LeafStepInterval leaf_interval_((kernel), (rows), (cols))
-#else
-#define DPS_LEAF_INTERVAL(kernel, rows, cols) \
-  do {                                        \
-  } while (false)
-#endif
 
 }  // namespace
 
 Band step_band(const Band& band, const std::vector<uint8_t>& above,
                const std::vector<uint8_t>& below) {
   const LifeKernel& k = active_life_kernel();
-  leaf_cells_counter().inc(static_cast<uint64_t>(band.rows()) *
-                           static_cast<uint64_t>(band.cols()));
-  DPS_LEAF_INTERVAL(k, band.rows(), band.cols());
+  const LeafStep step(k, band, static_cast<uint64_t>(band.rows()) *
+                                   static_cast<uint64_t>(band.cols()));
   return k.step_band(band, above, below);
 }
 
 Band step_interior(const Band& band) {
   const LifeKernel& k = active_life_kernel();
   const int interior_rows = band.rows() > 2 ? band.rows() - 2 : 0;
-  leaf_cells_counter().inc(static_cast<uint64_t>(interior_rows) *
-                           static_cast<uint64_t>(band.cols()));
-  DPS_LEAF_INTERVAL(k, band.rows(), band.cols());
+  const LeafStep step(k, band, static_cast<uint64_t>(interior_rows) *
+                                   static_cast<uint64_t>(band.cols()));
   return k.step_interior(band);
 }
 
@@ -166,9 +158,8 @@ void step_borders(const Band& band, const std::vector<uint8_t>& above,
                   const std::vector<uint8_t>& below, Band& out) {
   const LifeKernel& k = active_life_kernel();
   const int border_rows = band.rows() > 1 ? 2 : band.rows();
-  leaf_cells_counter().inc(static_cast<uint64_t>(border_rows) *
-                           static_cast<uint64_t>(band.cols()));
-  DPS_LEAF_INTERVAL(k, band.rows(), band.cols());
+  const LeafStep step(k, band, static_cast<uint64_t>(border_rows) *
+                                   static_cast<uint64_t>(band.cols()));
   k.step_borders(band, above, below, out);
 }
 

@@ -16,13 +16,10 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "serial/buffer_pool.hpp"
-#include "util/error.hpp"
-
-#ifdef DPS_TRACE
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#endif
+#include "serial/buffer_pool.hpp"
+#include "util/error.hpp"
 
 namespace dps {
 namespace {
@@ -305,11 +302,9 @@ void ShmInbox::stop() {
 }
 
 void ShmInbox::rx_loop() {
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     obs::Trace::instance().set_thread_name("shm rx " + std::to_string(self_));
   }
-#endif
   SegHeader& sh = seg_->header();
   const uint32_t peers = seg_->peers();
   const uint64_t cap = seg_->ring_bytes();
@@ -332,10 +327,9 @@ void ShmInbox::rx_loop() {
 
   auto flush = [&] {
     if (batch.empty()) return;
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kShmBatch, self_,
-                                    batch.size(), batch_bytes, 0, 0);
+      obs::Trace::record(obs::EventKind::kShmBatch, self_, batch.size(),
+                         batch_bytes, 0, 0);
       static obs::Counter& batches =
           obs::Metrics::instance().counter("dps.shm.rx_batches");
       batches.inc();
@@ -346,7 +340,6 @@ void ShmInbox::rx_loop() {
           obs::Metrics::instance().counter("dps.shm.rx_bytes");
       bytes.inc(batch_bytes);
     }
-#endif
     deliver_(std::move(batch));
     batch.clear();  // moved-from: back to a known-empty state
     batch_bytes = 0;
@@ -526,16 +519,6 @@ bool ShmPeerTx::send(FrameKind kind, const std::byte* prefix,
   publish();
   frames_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(head - start, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    static obs::Counter& frames =
-        obs::Metrics::instance().counter("dps.shm.tx_frames");
-    frames.inc();
-    static obs::Counter& bytes =
-        obs::Metrics::instance().counter("dps.shm.tx_bytes");
-    bytes.inc(head - start);
-  }
-#endif
   return true;
 }
 

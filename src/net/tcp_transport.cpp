@@ -1,14 +1,11 @@
 #include "net/tcp_transport.hpp"
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serial/buffer_pool.hpp"
 #include "serial/wire.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -98,7 +95,6 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
   }
   DPS_CHECK(static_cast<bool>(handler), "receiver started before attach");
 
-#ifdef DPS_TRACE
   // Folded in when the connection ends, whichever exit path it takes.
   struct RecvCalls {
     FrameReader& r;
@@ -110,7 +106,6 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
       }
     }
   } recv_calls_scope{reader};
-#endif
 
   // Frames decoded from the current chunk, delivered together when the
   // chunk is exhausted: one grouped handoff (one controller inbox append +
@@ -120,13 +115,11 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
   auto flush = [&] {
     if (batch.empty()) return;
     const size_t count = batch.size();
-#ifdef DPS_TRACE
     const bool t_on = obs::tracing_active();
     if (t_on) {
-      obs::Trace::instance().record(obs::EventKind::kRxBatchStart, peer, self,
-                                    count, batch_bytes, 0);
+      obs::Trace::record(obs::EventKind::kRxBatchStart, peer, self, count,
+                         batch_bytes, 0);
     }
-#endif
     if (batch_handler) {
       batch_handler(std::move(batch));
       batch.clear();  // moved-from: back to a known-empty state
@@ -134,11 +127,9 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
       for (NodeMessage& m : batch) handler(std::move(m));
       batch.clear();
     }
-#ifdef DPS_TRACE
     if (t_on) {
-      obs::Trace::instance().record(obs::EventKind::kRxBatchEnd, peer, self,
-                                    count, batch_bytes,
-                                    batch_handler ? 1 : 0);
+      obs::Trace::record(obs::EventKind::kRxBatchEnd, peer, self, count,
+                         batch_bytes, batch_handler ? 1 : 0);
       static obs::Counter& batches =
           obs::Metrics::instance().counter("dps.rx.batches");
       batches.inc();
@@ -149,9 +140,6 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
           obs::Metrics::instance().histogram("dps.rx.batch_bytes");
       bytes_hist.observe(batch_bytes);
     }
-#else
-    (void)count;
-#endif
     batch_bytes = 0;
   };
 
@@ -170,11 +158,8 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
         flush();
         return;
       }
-#ifdef DPS_TRACE
-      obs::Trace::instance().record(obs::EventKind::kTransportRecv, self, peer,
-                                    static_cast<uint64_t>(f.kind), 0,
-                                    f.payload.size());
-#endif
+      obs::Trace::record(obs::EventKind::kTransportRecv, self, peer,
+                         static_cast<uint64_t>(f.kind), 0, f.payload.size());
       batch_bytes += frame_wire_size(f);
       batch.push_back(NodeMessage{peer, f.kind, std::move(f.payload)});
       // Chunk exhausted (next frame would block): natural batch boundary.
@@ -200,12 +185,10 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
 }
 
 void TcpFabric::sender_loop(OutConn& oc) {
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     obs::Trace::instance().set_thread_name(
         "tx " + std::to_string(oc.from) + "->" + std::to_string(oc.to));
   }
-#endif
   // Lazy connect (the paper's delayed connection strategy), off the
   // producer's thread: the first enqueue created this link, the connect and
   // hello happen here while the producer continues computing.
@@ -237,15 +220,13 @@ void TcpFabric::sender_loop(OutConn& oc) {
     }
     // Budget freed: wake every producer blocked on backpressure.
     oc.space.notify_all();
-#ifdef DPS_TRACE
     size_t batch_bytes = 0;
     const bool t_on = obs::tracing_active();
     if (t_on) {
       for (const Frame& f : batch) batch_bytes += frame_wire_size(f);
-      obs::Trace::instance().record(obs::EventKind::kTxBatchStart, oc.from,
-                                    oc.to, batch.size(), batch_bytes, 0);
+      obs::Trace::record(obs::EventKind::kTxBatchStart, oc.from, oc.to,
+                         batch.size(), batch_bytes, 0);
     }
-#endif
     bool wrote = false;
     try {
       // The coalesced write: every pending frame for this peer leaves in
@@ -272,11 +253,9 @@ void TcpFabric::sender_loop(OutConn& oc) {
       oc.queued_bytes = 0;
       oc.space.notify_all();
     }
-#ifdef DPS_TRACE
     if (t_on) {
-      obs::Trace::instance().record(obs::EventKind::kTxBatchEnd, oc.from,
-                                    oc.to, batch.size(), batch_bytes,
-                                    wrote ? 1 : 0);
+      obs::Trace::record(obs::EventKind::kTxBatchEnd, oc.from, oc.to,
+                         batch.size(), batch_bytes, wrote ? 1 : 0);
       static obs::Counter& writevs =
           obs::Metrics::instance().counter("dps.tx.writev_batches");
       writevs.inc();
@@ -287,9 +266,6 @@ void TcpFabric::sender_loop(OutConn& oc) {
           obs::Metrics::instance().histogram("dps.tx.batch_bytes");
       bytes_hist.observe(batch_bytes);
     }
-#else
-    (void)wrote;
-#endif
     batch.clear();
   }
   // Closed and fully drained: announce the planned close so the peer's
@@ -383,17 +359,14 @@ void TcpFabric::enqueue_frame(NodeId from, NodeId to, Frame f) {
     oc.queued_bytes += wire;
     messages_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(wire, std::memory_order_relaxed);
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kTransportSend, from, to,
-                                    static_cast<uint64_t>(kind),
-                                    oc.queue.size(), wire);
+      obs::Trace::record(obs::EventKind::kTransportSend, from, to,
+                         static_cast<uint64_t>(kind), oc.queue.size(), wire);
       static obs::Gauge& depth =
           obs::Metrics::instance().gauge("dps.tx.queue_bytes");
       depth.set(static_cast<int64_t>(oc.queued_bytes));
       depth.update_max(static_cast<int64_t>(oc.queued_bytes));
     }
-#endif
   }
   oc.data.notify_one();
 }

@@ -3,9 +3,10 @@
 //
 // Companion of the flight recorder (obs/trace.hpp): the trace answers
 // "what happened, in what order", the metrics answer "how much, how often".
-// Engine instrumentation sites update both behind the DPS_TRACE compile
-// toggle; the registry itself is always available so tests and tools can
-// define their own series.
+// Engine instrumentation sites update both only while the recorder is
+// enabled (obs::tracing_active()); the registry itself is always available
+// so tests and tools can define their own series. A count that the engine
+// keeps anyway (Controller::steals(), svc_stats(), ...) has no mirror here.
 //
 // Instruments registered once never move: `counter("x")` returns a stable
 // reference that call sites may cache in a function-local static. reset()

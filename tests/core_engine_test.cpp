@@ -3,6 +3,7 @@
 // collection spread over the cluster, merge them back in order.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <thread>
@@ -128,9 +129,6 @@ class SlowUpper
 // merge's kOpStart..kOpEnd interval must overlap leaf execution intervals
 // by a nonzero window.
 TEST(ToUpper, TraceProvesComputeMergeOverlap) {
-  if (!obs::kTraceCompiled) {
-    GTEST_SKIP() << "built without DPS_TRACE; use the trace preset";
-  }
   obs::Trace::instance().reset();
   obs::Trace::instance().configure(
       {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
@@ -171,26 +169,54 @@ TEST(ToUpper, TraceProvesComputeMergeOverlap) {
       << "the merge must collect while leaves still compute";
 }
 
+// The node whose first dispatch TxProbeSplit waits for (set by the test).
+std::atomic<const Controller*> g_tx_probe_peer{nullptr};
+
+// SplitString that, once it has shipped its first token bound for another
+// node (pos 1: thread 1 of a node0/node1 round-robin mapping), keeps
+// executing until that node has dispatched it. The frame was then written
+// by this node's sender thread while the split ran, so the overlap below
+// follows from the graph instead of from thread scheduling.
+class TxProbeSplit
+    : public SplitOperation<MainThread, TV1(StringToken), TV1(CharToken)> {
+ public:
+  void execute(StringToken* in) override {
+    for (int i = 0; i < in->len; ++i) {
+      postToken(new CharToken(in->str[i], i));
+      if (i != 1) continue;
+      flushTokens();  // ship pos 1 now; more posts follow
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (g_tx_probe_peer.load()->dispatched() == 0) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          ADD_FAILURE() << "node 1 never dispatched the split's first token";
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+  }
+  DPS_IDENTIFY_OPERATION(TxProbeSplit);
+};
+
 // The asynchronous transmit path's reason to exist: on the sending node,
 // operation executions (split posting tokens, leaves computing) must overlap
 // the sender thread's writev batches — with the old synchronous path the
 // worker sat inside send_all and the two could never overlap.
 TEST(ToUpper, TraceProvesComputeTransmitOverlap) {
-  if (!obs::kTraceCompiled) {
-    GTEST_SKIP() << "built without DPS_TRACE; use the trace preset";
-  }
   obs::Trace::instance().reset();
   obs::Trace::instance().configure(
       {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
   {
     Cluster cluster(ClusterConfig::tcp(2));
+    g_tx_probe_peer.store(&cluster.controller(1));
     Application app(cluster, "tx-overlap");
     auto main_threads = app.thread_collection<MainThread>("main");
     main_threads->map("node0");
     auto compute = app.thread_collection<ComputeThread>("proc");
     compute->map(round_robin_mapping({"node0", "node1"}, 4));
     FlowgraphBuilder b =
-        FlowgraphNode<SplitString, MainRoute>(main_threads) >>
+        FlowgraphNode<TxProbeSplit, MainRoute>(main_threads) >>
         FlowgraphNode<SlowUpper, RoundRobinRoute>(compute) >>
         FlowgraphNode<MergeString, MainCharRoute>(main_threads);
     auto graph = app.build_graph(b, "tx-overlap");
@@ -387,9 +413,6 @@ TEST(Mcast, WindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
 // windows — while the fabric-level recorder still sees a single shared
 // body. This is the wire-level half of the one-encode-K-transmit claim.
 TEST(Mcast, TraceShowsSharedTransmitsOverTcp) {
-  if (!obs::kTraceCompiled) {
-    GTEST_SKIP() << "built without DPS_TRACE; use the trace preset";
-  }
   constexpr int kFanout = 8;
   obs::Trace::instance().reset();
   obs::Trace::instance().configure(

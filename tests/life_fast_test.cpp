@@ -12,6 +12,7 @@
 #include "life/fast_step.hpp"
 #include "life/world.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_seed.hpp"
 #include "util/error.hpp"
 
@@ -220,9 +221,17 @@ TEST(LifeFast, LeafCellsCounterCountsSteppedCells) {
   const Band band = random_band(12, 30, rng);
   const std::vector<uint8_t> dead;
   obs::Counter& cells = obs::Metrics::instance().counter("dps.leaf.cells");
+  // The counter is flight-recorder instrumentation: it moves only while the
+  // recorder is enabled.
+  const uint64_t idle = cells.value();
+  (void)step_band(band, dead, dead);
+  EXPECT_EQ(cells.value(), idle);
+  obs::Trace::instance().set_enabled(true);
   const uint64_t before = cells.value();
   (void)step_band(band, dead, dead);
   const uint64_t after = cells.value();
+  obs::Trace::instance().set_enabled(false);
+  obs::Trace::instance().reset();
   EXPECT_EQ(after - before, 12u * 30u);
 }
 

@@ -1,9 +1,8 @@
 // Flight-recorder unit tests: ring-buffer wraparound and concurrent drains
 // (the TSan target), Chrome-JSON and binary round-trips, metrics, and the
 // TraceQuery assertions (happens-before, per-link order, overlap windows)
-// on hand-built event streams. These run in every build; tests that need
-// the engine to *emit* events live in core_engine_test / chaos_test and
-// skip themselves when DPS_TRACE is compiled out.
+// on hand-built event streams. Tests that need the engine to *emit* events
+// live in core_engine_test / chaos_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
