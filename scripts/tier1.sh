@@ -33,7 +33,9 @@
 #            end-to-end under the SLO), append a code_size record carrying
 #            the src/ line count, and flag fig15_lu / fig6_throughput /
 #            fig9_life throughput regressions >10% against the committed
-#            BENCH_pr9.json baseline
+#            BENCH_pr9.json baseline. Every bench runs even when an earlier
+#            one fails; BENCH_pr10.json is still written and compared, and
+#            the script then exits non-zero naming each failed bench
 set -uo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
@@ -179,25 +181,46 @@ fi
 # stream_video exits nonzero unless every frame's chained checksum
 # verifies, the base rate is sustained within 20%, and base-rate p99
 # end-to-end latency meets the SLO — all of those invariants are enforced
-# here too.
-set -e
+# here too. A failing bench does not stop the pass: each one runs, its exit
+# code is recorded, and the stage fails at the end naming every failure.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 b=build/bench
-"$b/fig6_throughput"    4    --check-shm --json "$smoke_dir/fig6.json"
-"$b/micro_steal"             --json "$smoke_dir/micro_steal.json"
-"$b/table1_overlap"     256  --json "$smoke_dir/table1.json"
-"$b/fig9_life"          1    --check-leaf --json "$smoke_dir/fig9.json"
-"$b/fig15_lu"           512 110 32 --check-scaleout \
+bench_failures=()
+run_bench() {  # run_bench <label> <command...> — records a non-zero exit
+  local label=$1 rc=0
+  shift
+  "$@" || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "== bench FAIL: $label (exit $rc)"
+    bench_failures+=("$label (exit $rc)")
+  fi
+}
+run_bench "fig6_throughput --check-shm" \
+  "$b/fig6_throughput"    4    --check-shm --json "$smoke_dir/fig6.json"
+run_bench micro_steal \
+  "$b/micro_steal"             --json "$smoke_dir/micro_steal.json"
+run_bench table1_overlap \
+  "$b/table1_overlap"     256  --json "$smoke_dir/table1.json"
+run_bench "fig9_life --check-leaf" \
+  "$b/fig9_life"          1    --check-leaf --json "$smoke_dir/fig9.json"
+run_bench "fig15_lu --check-scaleout" \
+  "$b/fig15_lu"           512 110 32 --check-scaleout \
   --json "$smoke_dir/fig15.json"
-"$b/table2_services"    1024 1 --json "$smoke_dir/table2.json"
-"$b/table2_services"    512 1 --sweep 1,10,100 --overload 100 2 \
+run_bench table2_services \
+  "$b/table2_services"    1024 1 --json "$smoke_dir/table2.json"
+run_bench "table2_services --sweep/--overload" \
+  "$b/table2_services"    512 1 --sweep 1,10,100 --overload 100 2 \
   --json "$smoke_dir/table2_mesh.json"
-"$b/ablation_flowctl"   256  --json "$smoke_dir/ablation.json"
-"$b/stream_video"       120  --json "$smoke_dir/stream_video.json"
-"$b/micro_engine"        --json "$smoke_dir/micro_engine.json" \
+run_bench ablation_flowctl \
+  "$b/ablation_flowctl"   256  --json "$smoke_dir/ablation.json"
+run_bench stream_video \
+  "$b/stream_video"       120  --json "$smoke_dir/stream_video.json"
+run_bench micro_engine \
+  "$b/micro_engine"        --json "$smoke_dir/micro_engine.json" \
   --benchmark_filter='BM_CallLatencySingleNode|BM_TokenThroughputSerialized/256|BM_DispatchMergeMatch'
-"$b/micro_serialization" --json "$smoke_dir/micro_serial.json" \
+run_bench micro_serialization \
+  "$b/micro_serialization" --json "$smoke_dir/micro_serial.json" \
   --benchmark_filter='BM_SimpleTokenRoundTrip|BM_ComplexTokenRoundTrip/4096'
 # Code size rides along as one record (not watched by bench_compare.py):
 # the line count of every source file under src/.
@@ -210,4 +233,11 @@ echo "bench smoke: $(wc -l < BENCH_pr10.json) records -> BENCH_pr10.json"
 # config more than 10% below the PR-9 baseline fails the smoke stage
 # (fig9's wall-clock leaf=* configs are advisory; the in-binary
 # --check-leaf gate owns that win).
-python3 scripts/bench_compare.py BENCH_pr9.json BENCH_pr10.json
+run_bench bench_compare \
+  python3 scripts/bench_compare.py BENCH_pr9.json BENCH_pr10.json
+if [ "${#bench_failures[@]}" -ne 0 ]; then
+  echo "bench smoke: ${#bench_failures[@]} failed:"
+  printf '  %s\n' "${bench_failures[@]}"
+  exit 1
+fi
+echo "bench smoke: every bench passed"

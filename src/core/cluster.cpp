@@ -3,7 +3,6 @@
 #include <chrono>
 #include <map>
 
-#include "compute/backend.hpp"
 #include "core/application.hpp"
 #include "core/controller.hpp"
 #include "core/thread_collection.hpp"
@@ -57,9 +56,6 @@ ClusterConfig ClusterConfig::shm(int node_count) {
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   DPS_CHECK(!config_.nodes.empty(), "cluster needs at least one node");
-  if (!config_.leaf_backend.empty()) {
-    compute::set_default_backend(config_.leaf_backend);
-  }
   const size_t n = config_.nodes.size();
   if (config_.external_fabric) {
     domain_ = std::make_unique<WallDomain>();
@@ -87,6 +83,16 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         break;
     }
   }
+  if (config_.fault.enabled()) {
+    if (simulated()) {
+      DPS_WARN(
+          "fault tolerance (reliable delivery / heartbeats) is a wall-clock "
+          "mechanism and is disabled under virtual time");
+    } else {
+      reliable_ = std::make_shared<ReliableFabric>(fabric_, n, config_.fault);
+      fabric_ = reliable_;
+    }
+  }
   services_ = std::make_unique<NameRegistry>(*domain_);
   controllers_.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
@@ -102,20 +108,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       });
     }
   }
-
-  if (config_.fault.enabled()) {
-    if (simulated()) {
-      DPS_WARN(
-          "fault tolerance (reliable delivery / heartbeats) is a wall-clock "
-          "mechanism and is disabled under virtual time");
-    } else {
-      ft_active_ = true;
-      for (NodeId i = 0; i < n; ++i) {
-        if (is_local(i)) controllers_[i]->enable_fault_tolerance();
-      }
-      monitor_ = std::thread([this] { monitor_loop(); });
-    }
-  }
+  if (reliable_) monitor_ = std::thread([this] { monitor_loop(); });
 }
 
 Cluster::~Cluster() { shutdown(); }
@@ -380,8 +373,9 @@ void Cluster::mark_node_down(NodeId node, const std::string& reason) {
   }
   DPS_WARN("node '" << node_name(node) << "' declared down: " << reason);
   obs::Trace::record(obs::EventKind::kNodeDown, node, node, 0, 0, 0);
+  if (reliable_) reliable_->on_node_down(node);
   for (NodeId i = 0; i < controllers_.size(); ++i) {
-    if (is_local(i)) controllers_[i]->on_node_down(node);
+    if (is_local(i)) controllers_[i]->on_node_down();
   }
   fail_all_calls(Errc::kNodeDown,
                  "node '" + node_name(node) + "' declared down: " + reason);
@@ -428,15 +422,13 @@ void Cluster::monitor_loop() {
       if (!node_down(i)) live.insert(i);
     }
 
-    if (ft.reliable) {
-      for (NodeId i : live) {
-        if (!is_local(i)) continue;
-        for (NodeId suspect : controllers_[i]->reliability_tick(now)) {
-          if (!ft.heartbeat) {
-            // No heartbeat adjudication: the retry budget is the only
-            // failure signal, so act on it directly.
-            mark_node_down(suspect, "retransmission budget exhausted");
-          }
+    for (NodeId i : live) {  // a no-op without reliable delivery
+      if (!is_local(i)) continue;
+      for (NodeId suspect : reliable_->tick(i, now)) {
+        if (!ft.heartbeat) {
+          // No heartbeat adjudication: the retry budget is the only
+          // failure signal, so act on it directly.
+          mark_node_down(suspect, "retransmission budget exhausted");
         }
       }
     }
@@ -445,7 +437,7 @@ void Cluster::monitor_loop() {
     if (now >= next_beacon) {
       next_beacon = now + ft.heartbeat_period;
       for (NodeId i : live) {
-        if (is_local(i)) controllers_[i]->send_heartbeats(now);
+        if (is_local(i)) reliable_->send_heartbeats(i);
       }
     }
 
@@ -465,7 +457,7 @@ void Cluster::monitor_loop() {
     for (NodeId i : live) {
       if (!is_local(i)) continue;
       std::set<NodeId> s;
-      for (NodeId p : controllers_[i]->stale_peers(now, threshold)) {
+      for (NodeId p : reliable_->stale_peers(i, now, threshold)) {
         if (live.count(p) != 0) s.insert(p);
       }
       if (s.size() >= live.size() - 1) isolated.insert(i);

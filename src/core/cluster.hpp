@@ -32,8 +32,9 @@
 #include "core/ids.hpp"
 #include "core/tenant.hpp"
 #include "net/fabric.hpp"
-#include "util/thread_annotations.hpp"
 #include "net/name_registry.hpp"
+#include "net/reliable_fabric.hpp"
+#include "util/thread_annotations.hpp"
 #include "sim/link.hpp"
 
 namespace dps {
@@ -42,37 +43,8 @@ class Application;
 class Controller;
 class ThreadCollectionBase;
 
-/// Fault-tolerance knobs (docs/FAULT_TOLERANCE.md). Both features are
-/// wall-clock mechanisms and are ignored (with a warning) under virtual
-/// time. Defaults are tuned for loopback/in-process latencies.
-struct FaultToleranceConfig {
-  /// Reliable envelope delivery: sequence numbers per (src,dst) link,
-  /// cumulative acks piggybacked on traffic, retransmission with
-  /// exponential backoff + jitter, duplicate suppression on receive.
-  bool reliable = false;
-  /// Heartbeat failure detection: nodes beacon each other; a silent node
-  /// is declared dead and in-flight graph calls fail with Error(kNodeDown).
-  bool heartbeat = false;
-
-  double heartbeat_period = 0.02;   ///< seconds between beacons
-  int heartbeat_miss = 5;           ///< silent periods before declared dead
-  double rto_initial = 0.005;       ///< first retransmit timeout, seconds
-  double rto_max = 0.2;             ///< backoff cap, seconds
-  int max_retries = 12;             ///< retry budget before peer is suspect
-  double tick_interval = 0.002;     ///< monitor thread granularity, seconds
-
-  bool enabled() const { return reliable || heartbeat; }
-};
-
 struct ClusterConfig {
   enum class FabricKind { kInproc, kTcp, kSim, kShm };
-
-  /// Worker-thread CPU affinity (docs/PERFORMANCE.md, "Core pinning").
-  /// kNone leaves placement to the OS scheduler. kCompact pins workers to
-  /// consecutive cores in spawn order (cache sharing between pipeline
-  /// stages); kScatter strides them across the socket (memory-bandwidth
-  /// bound stages). Linux only; a no-op elsewhere.
-  enum class PinPolicy { kNone, kCompact, kScatter };
 
   std::vector<std::string> nodes;  ///< node names; size = node count
   FabricKind fabric = FabricKind::kInproc;
@@ -94,13 +66,10 @@ struct ClusterConfig {
   /// made of bi-processor Pentium III machines.
   int sim_cpus_per_node = 2;
 
-  /// Reliable delivery + failure detection (off by default: fault-free
-  /// fabrics pay zero overhead and keep their exact frame accounting).
+  /// Reliable delivery + failure detection (net/reliable_fabric.hpp). Off
+  /// by default: the cluster then builds no ReliableFabric, so fault-free
+  /// fabrics pay zero overhead and keep their exact frame accounting.
   FaultToleranceConfig fault;
-
-  /// Worker CPU affinity policy; see PinPolicy. The resulting pinning map
-  /// is exported through Controller::worker_pinning() and svc stats.
-  PinPolicy pin_workers = PinPolicy::kNone;
 
   /// Idle workers steal dispatchable work from sibling workers of the same
   /// collection (core/run_queue.hpp). Off by default: stealing moves a
@@ -108,14 +77,6 @@ struct ClusterConfig {
   /// sound for load-balanced routes — content-addressed routes (a merge's
   /// context affinity, hash routing) must keep it off.
   bool work_stealing = false;
-
-  /// Leaf-compute backend for this process (compute/backend.hpp): the
-  /// cluster constructor forwards a non-empty name to
-  /// compute::set_default_backend(), overriding env DPS_LEAF. Kernel
-  /// families that don't register the name keep their own default (e.g.
-  /// "lut" for the Life stepper). Process-wide, like DPS_LEAF: the last
-  /// constructed cluster with a non-empty name wins.
-  std::string leaf_backend;
 
   static ClusterConfig inproc(int node_count);
   static ClusterConfig tcp(int node_count);
@@ -135,7 +96,12 @@ class Cluster {
   Cluster& operator=(const Cluster&) = delete;
 
   ExecDomain& domain() { return *domain_; }
+  /// The fabric the controllers attach to: the transport (or
+  /// ClusterConfig::external_fabric), wrapped in a ReliableFabric while
+  /// fault tolerance is active.
   Fabric& fabric() { return *fabric_; }
+  /// The reliable-delivery layer; null unless fault tolerance is active.
+  const ReliableFabric* reliability() const { return reliable_.get(); }
   bool simulated() const { return config_.fabric == ClusterConfig::FabricKind::kSim; }
   uint32_t flow_window() const { return config_.flow_window; }
   const ClusterConfig& config() const { return config_; }
@@ -143,7 +109,7 @@ class Cluster {
   // --- failure detection (docs/FAULT_TOLERANCE.md) --------------------------
   /// Whether the fault-tolerance layer is running (configured and not
   /// under virtual time).
-  bool fault_tolerant() const { return ft_active_; }
+  bool fault_tolerant() const { return reliable_ != nullptr; }
 
   /// Declares `node` failed: records it, fails every in-flight graph call
   /// with Error(kNodeDown), and unblocks local flow-control waiters so no
@@ -165,11 +131,6 @@ class Cluster {
   NodeId node_id(const std::string& name) const;
   const std::string& node_name(NodeId node) const;
   Controller& controller(NodeId node);
-
-  /// Cluster-wide worker spawn sequence for ClusterConfig::pin_workers:
-  /// every engine worker of every (in-process) node draws one slot, so the
-  /// pinning formulas distribute across the whole process, not per node.
-  int next_pin_seq() { return pin_seq_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Parallel-service registry (published flow graphs), the in-process
   /// equivalent of the paper's name server.
@@ -268,12 +229,14 @@ class Cluster {
   ClusterConfig config_;
   std::unique_ptr<ExecDomain> domain_;
   std::shared_ptr<Fabric> fabric_;
+  /// fabric_ itself while fault tolerance is active, else null.
+  std::shared_ptr<ReliableFabric> reliable_;
   std::unique_ptr<NameRegistry> services_;
   std::vector<std::unique_ptr<Controller>> controllers_;
 
-  // Fault-tolerance driver: one wall-clock thread per cluster sending
-  // heartbeats, running retransmit timers, and adjudicating node death.
-  bool ft_active_ = false;
+  // Fault-tolerance driver: one wall-clock thread per cluster driving the
+  // ReliableFabric's heartbeats and retransmit timers, and adjudicating
+  // node death.
   std::thread monitor_;
   Mutex monitor_mu_;
   CondVar monitor_cv_;
@@ -292,7 +255,6 @@ class Cluster {
   std::vector<std::shared_ptr<ThreadCollectionBase>> collections_
       DPS_GUARDED_BY(mu_);
   std::atomic<uint64_t> next_call_{1};
-  std::atomic<int> pin_seq_{0};
   std::unordered_map<CallId, std::shared_ptr<detail::CallState>> calls_
       DPS_GUARDED_BY(mu_);
   std::unordered_map<ContextId, const void*> claims_ DPS_GUARDED_BY(mu_);

@@ -2,14 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <optional>
-
-#include <cstring>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "core/application.hpp"
 #include "core/checkpoint.hpp"
@@ -31,17 +24,6 @@ bool accepts(const Flowgraph::Vertex& v, uint64_t type_id) {
     if (id == type_id) return true;
   }
   return false;
-}
-
-/// Wire prefix of a kReliable frame: [u64 seq][u64 cumulative ack][u16
-/// inner kind]. Written as a placeholder at encode time and patched once
-/// the link assigns the sequence number (single-buffer reliable path).
-constexpr size_t kRelSeqOffset = 0;
-constexpr size_t kRelAckOffset = sizeof(uint64_t);
-constexpr size_t kRelHeaderSize = 2 * sizeof(uint64_t) + sizeof(uint16_t);
-
-void patch_u64(std::vector<std::byte>& buf, size_t offset, uint64_t value) {
-  std::memcpy(buf.data() + offset, &value, sizeof(value));
 }
 
 }  // namespace
@@ -94,9 +76,6 @@ struct Controller::Worker {
   StealGroup* steal_group = nullptr;
   /// Raised (under mu) by a backlogged sibling: "wake up and steal".
   std::atomic<bool> steal_hint{false};
-  /// CPU this worker pinned itself to; -1 while unpinned. Written once by
-  /// the worker thread, read by worker_pinning().
-  std::atomic<int> pinned_cpu{-1};
 
   std::thread os_thread;
 };
@@ -121,38 +100,6 @@ struct Controller::FlowAccount {
   /// Owning split/stream execution completed.
   bool finished DPS_GUARDED_BY(mu) = false;
   bool poison DPS_GUARDED_BY(mu) = false;
-};
-
-/// Per-peer reliable-delivery state (docs/FAULT_TOLERANCE.md). One link per
-/// (this node, peer) pair, lazily created, guarded by rel_mu_.
-struct Controller::ReliableLink {
-  // --- sender side ---
-  struct Pending {
-    FrameKind kind;
-    /// The full kReliable frame ([seq|ack|kind|payload]) as first sent.
-    /// Kept whole so a retransmit only patches the ack field and copies —
-    /// no re-wrap, and the buffer recycles through the pool once acked.
-    std::vector<std::byte> wrapped;
-    /// Shared multicast body appended after `wrapped` on every transmit;
-    /// null for ordinary frames. Dropped (not released) on ack — the last
-    /// per-link reference frees the one encoded payload.
-    SharedPayload body;
-    double next_due = 0;             ///< wall-clock retransmit deadline
-    double rto = 0;                  ///< current backoff interval
-    int retries = 0;
-  };
-  uint64_t next_seq = 1;               ///< next sequence number to assign
-  std::map<uint64_t, Pending> unacked;  ///< sent, not yet cumulatively acked
-
-  // --- receiver side ---
-  uint64_t rx_contig = 0;          ///< highest seq with all predecessors seen
-  std::set<uint64_t> rx_above;     ///< received out of order, > rx_contig
-  uint64_t acked_sent = 0;         ///< highest cumulative ack we transmitted
-  bool ack_pending = false;        ///< delivery since last ack we sent
-
-  // --- liveness ---
-  double last_heard = 0;  ///< wall clock of last frame from this peer
-  bool dead = false;      ///< peer declared down; link is a black hole
 };
 
 // ---------------------------------------------------------------------------
@@ -512,12 +459,7 @@ class Controller::ExecCtx : public detail::OpServices {
       Writer w(BufferPool::instance().acquire(base.encoded_size()));
       base.encode(w);
       BufferPool::instance().note_growth(w.growth_count());
-      auto* vec = new std::vector<std::byte>(w.take());
-      body = SharedPayload(vec, [](const std::vector<std::byte>* p) {
-        BufferPool::instance().release(
-            std::move(*const_cast<std::vector<std::byte>*>(p)));
-        delete p;
-      });
+      body = share_pooled(w.take());
       controller_.mcast_encodes_.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -822,7 +764,6 @@ void Controller::worker_loop(Worker& w) {
   if (obs::tracing_active()) obs::Trace::instance().set_thread_name(w.label);
   // Under virtual time, this DPS thread competes for its node's CPUs.
   domain.bind_cpu(static_cast<int>(self_));
-  pin_worker(w);
   const bool stealing = w.steal_group != nullptr;
   for (;;) {
     const bool drained = drain_inbox(w);
@@ -869,51 +810,6 @@ void Controller::worker_loop(Worker& w) {
     }
   }
   domain.actor_finished();
-}
-
-void Controller::pin_worker(Worker& w) {
-#if defined(__linux__)
-  const ClusterConfig::PinPolicy policy = cluster_.config().pin_workers;
-  if (policy == ClusterConfig::PinPolicy::kNone) return;
-  const int ncpu =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int seq = cluster_.next_pin_seq();
-  int cpu;
-  if (policy == ClusterConfig::PinPolicy::kCompact) {
-    cpu = seq % ncpu;
-  } else {
-    // Scatter: stride workers across the socket. The stride is made
-    // coprime with the core count so `seq * stride % ncpu` visits every
-    // core before repeating.
-    int stride = std::max(2, ncpu / 2);
-    while (std::gcd(stride, ncpu) != 1) ++stride;
-    cpu = (seq * stride) % ncpu;
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  if (sched_setaffinity(0, sizeof(set), &set) == 0) {
-    w.pinned_cpu.store(cpu, std::memory_order_relaxed);
-    if (obs::tracing_active()) {
-      static obs::Gauge& pinned =
-          obs::Metrics::instance().gauge("dps.sched.pinned_workers");
-      pinned.add(1);
-    }
-  }
-#else
-  (void)w;
-#endif
-}
-
-std::vector<Controller::WorkerPin> Controller::worker_pinning() const {
-  std::vector<WorkerPin> pins;
-  MutexLock lock(workers_mu_);
-  pins.reserve(workers_.size());
-  for (const auto& [key, w] : workers_) {
-    pins.push_back(WorkerPin{key.first, key.second,
-                             w->pinned_cpu.load(std::memory_order_relaxed)});
-  }
-  return pins;
 }
 
 bool Controller::try_steal(Worker& w) {
@@ -1264,124 +1160,27 @@ void Controller::on_fabric(NodeMessage&& msg) {
 void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
   // One receive chunk's worth of frames. Non-blocking by contract: enqueue,
   // update accounts, notify. Envelopes are grouped per worker (one inbox
-  // append + one notify each), and all reliable-link seq/ack bookkeeping
-  // for the chunk runs under a single rel_mu_ acquisition.
+  // append + one notify each).
   DeliveryBatch batch(*this);
-  struct RelItem {
-    size_t index;       ///< into msgs
-    uint64_t seq = 0;
-    uint64_t ack = 0;
-    FrameKind inner = FrameKind::kEnvelope;
-    size_t header = 0;
-    bool deliver = false;
-  };
-  std::vector<RelItem> rel;
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    NodeMessage& msg = msgs[i];
-    switch (msg.kind) {
-      case FrameKind::kReliable: {
-        RelItem item;
-        item.index = i;
-        Reader r(msg.payload.data(), msg.payload.size());
-        item.seq = r.get<uint64_t>();
-        item.ack = r.get<uint64_t>();
-        item.inner = static_cast<FrameKind>(r.get<uint16_t>());
-        item.header = msg.payload.size() - r.remaining();
-        rel.push_back(item);
-        break;
+  for (NodeMessage& msg : msgs) {
+    if (msg.kind == FrameKind::kPeerDown) {
+      // Transport-level death report (torn TCP stream). Under fault
+      // tolerance the cluster converts it to kNodeDown on in-flight calls;
+      // otherwise it is surfaced loudly as a protocol error.
+      Reader r(msg.payload.data(), msg.payload.size());
+      const std::string reason = r.get_string();
+      if (cluster_.fault_tolerant()) {
+        cluster_.mark_node_down(msg.from, reason);
+      } else {
+        DPS_ERROR("node " << self_ << ": " << to_string(Errc::kProtocol)
+                          << ": " << reason);
       }
-      case FrameKind::kAck:
-      case FrameKind::kHeartbeat: {  // heartbeats double as ack carriers
-        Reader r(msg.payload.data(), msg.payload.size());
-        handle_ack(msg.from, r.get<uint64_t>());
-        break;
-      }
-      case FrameKind::kPeerDown: {
-        // Transport-level death report (torn TCP stream). Under fault
-        // tolerance the cluster converts it to kNodeDown on in-flight
-        // calls; otherwise it is surfaced loudly as a protocol error.
-        Reader r(msg.payload.data(), msg.payload.size());
-        const std::string reason = r.get_string();
-        if (cluster_.fault_tolerant()) {
-          cluster_.mark_node_down(msg.from, reason);
-        } else {
-          DPS_ERROR("node " << self_ << ": " << to_string(Errc::kProtocol)
-                            << ": " << reason);
-        }
-        break;
-      }
-      default: {
-        if (obs::tracing_active()) {
-          obs::Trace::record(obs::EventKind::kFabricRecv, self_, msg.from,
-                             static_cast<uint64_t>(msg.kind), 0,
-                             msg.payload.size());
-          static obs::Counter& received_raw =
-              obs::Metrics::instance().counter("dps.fabric.frames_received");
-          received_raw.inc();
-        }
-        handle_frame(msg.kind, msg.from, msg.payload.data(),
-                     msg.payload.size(), batch);
-      }
+      continue;
     }
-  }
-  if (rel.empty()) return;
-
-  // Dup re-acks, coalesced per peer: the last suppressed frame's
-  // cumulative ack covers every earlier one in the chunk.
-  struct PendingAck {
-    NodeId peer;
-    uint64_t val;
-  };
-  std::vector<PendingAck> acks;
-  {
-    MutexLock lock(rel_mu_);
-    for (RelItem& item : rel) {
-      const NodeId from = msgs[item.index].from;
-      ReliableLink& l = rlink_locked(from);
-      handle_ack_locked(l, from, item.ack);
-      l.last_heard = mono_seconds();
-      uint64_t ack_val = 0;
-      item.deliver = reliable_rx_locked(l, item.seq, &ack_val);
-      if (!item.deliver) {
-        obs::Trace::record(obs::EventKind::kDupSuppressed, self_, from,
-                           static_cast<uint64_t>(item.inner), item.seq, 0);
-        bool found = false;
-        for (auto& a : acks) {
-          if (a.peer == from) {
-            a.val = ack_val;
-            found = true;
-          }
-        }
-        if (!found) acks.push_back(PendingAck{from, ack_val});
-      }
-    }
-  }
-  for (const PendingAck& a : acks) {
-    Writer w;
-    w.put<uint64_t>(a.val);
-    obs::Trace::record(obs::EventKind::kAckSend, self_, a.peer, 0, a.val, 0);
-    try {
-      cluster_.fabric().send(self_, a.peer, FrameKind::kAck, w.take());
-    } catch (const Error&) {
-      // ack lost: the duplicate will come again
-    }
-  }
-  // Frames are self-contained engine messages: out-of-order delivery is
-  // harmless (merge contexts collect by SplitFrame, not arrival order), so
-  // new frames are delivered at once instead of buffered behind a gap.
-  for (const RelItem& item : rel) {
-    if (!item.deliver) continue;
-    NodeMessage& msg = msgs[item.index];
-    if (obs::tracing_active()) {
-      obs::Trace::record(obs::EventKind::kFabricRecv, self_, msg.from,
-                         static_cast<uint64_t>(item.inner), item.seq,
-                         msg.payload.size() - item.header);
-      static obs::Counter& received =
-          obs::Metrics::instance().counter("dps.fabric.frames_received");
-      received.inc();
-    }
-    handle_frame(item.inner, msg.from, msg.payload.data() + item.header,
-                 msg.payload.size() - item.header, batch);
+    obs::Trace::record(obs::EventKind::kFabricRecv, self_, msg.from,
+                       static_cast<uint64_t>(msg.kind), 0, msg.payload.size());
+    handle_frame(msg.kind, msg.from, msg.payload.data(), msg.payload.size(),
+                 batch);
   }
   // ~DeliveryBatch flushes the grouped envelopes.
 }
@@ -1607,80 +1406,13 @@ size_t Controller::flow_account_count() const {
   return accounts_.size();
 }
 
-// --- Fault tolerance (docs/FAULT_TOLERANCE.md) -------------------------------
-//
-// Lock discipline: rel_mu_ is never held across a fabric send. The inproc
-// fabric delivers synchronously on the calling thread, so a send made under
-// rel_mu_ could re-enter this controller (peer's ack) and self-deadlock.
-// Frames are built under the lock and shipped after it is released.
-
-void Controller::enable_fault_tolerance() {
-  const FaultToleranceConfig& ft = cluster_.config().fault;
-  reliable_ = ft.reliable;
-  heartbeat_ = ft.heartbeat;
-  const double now = mono_seconds();
-  MutexLock lock(rel_mu_);
-  for (NodeId peer = 0; peer < cluster_.node_count(); ++peer) {
-    if (peer == self_) continue;
-    rlink_locked(peer).last_heard = now;  // grace period from arming time
-  }
-}
-
-Controller::ReliableLink& Controller::rlink_locked(NodeId peer) {
-  auto it = rlinks_.find(peer);
-  if (it == rlinks_.end()) {
-    it = rlinks_.emplace(peer, std::make_unique<ReliableLink>()).first;
-  }
-  return *it->second;
-}
+// --- Fabric exit -------------------------------------------------------------
 
 void Controller::fabric_send(NodeId target, FrameKind kind,
                              std::vector<std::byte> payload) {
-  if (!reliable_) {
-    if (obs::tracing_active()) {
-      obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
-                         static_cast<uint64_t>(kind), 0, payload.size());
-      static obs::Counter& sent_raw =
-          obs::Metrics::instance().counter("dps.fabric.frames_sent");
-      sent_raw.inc();
-    }
-    cluster_.fabric().send(self_, target, kind, std::move(payload));
-    return;
-  }
-  Writer w(BufferPool::instance().acquire(kRelHeaderSize + payload.size()));
-  w.put<uint64_t>(0);  // seq placeholder, patched under rel_mu_
-  w.put<uint64_t>(0);  // cumulative-ack placeholder
-  w.put<uint16_t>(static_cast<uint16_t>(kind));
-  w.put_raw(payload.data(), payload.size());
-  send_reliable_wrapped(target, kind, w.take());
-}
-
-void Controller::fabric_send_shared(NodeId target, FrameKind kind,
-                                    std::vector<std::byte> prefix,
-                                    SharedPayload body) {
-  if (!reliable_) {
-    if (obs::tracing_active()) {
-      obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
-                         static_cast<uint64_t>(kind), 0,
-                         prefix.size() + (body == nullptr ? 0 : body->size()));
-      static obs::Counter& sent_raw =
-          obs::Metrics::instance().counter("dps.fabric.frames_sent");
-      sent_raw.inc();
-    }
-    cluster_.fabric().send_shared(self_, target, kind, std::move(prefix),
-                                  std::move(body));
-    return;
-  }
-  // Only the small per-receiver prefix is wrapped with [seq|ack|kind]; the
-  // shared body stays outside the sequenced buffer and rides every
-  // (re)transmit of this link's frame untouched.
-  Writer w(BufferPool::instance().acquire(kRelHeaderSize + prefix.size()));
-  w.put<uint64_t>(0);  // seq placeholder, patched under rel_mu_
-  w.put<uint64_t>(0);  // cumulative-ack placeholder
-  w.put<uint16_t>(static_cast<uint16_t>(kind));
-  w.put_raw(prefix.data(), prefix.size());
-  BufferPool::instance().release(std::move(prefix));
-  send_reliable_wrapped(target, kind, w.take(), std::move(body));
+  obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
+                     static_cast<uint64_t>(kind), 0, payload.size());
+  cluster_.fabric().send(self_, target, kind, std::move(payload));
 }
 
 void Controller::mcast_ship(NodeId to, const McastEntry* entries, size_t n,
@@ -1689,253 +1421,36 @@ void Controller::mcast_ship(NodeId to, const McastEntry* entries, size_t n,
   encode_mcast_header(w, entries, n);
   BufferPool::instance().note_growth(w.growth_count());
   mcast_frames_.fetch_add(1, std::memory_order_relaxed);
-  fabric_send_shared(to, FrameKind::kMcastEnvelope, w.take(), body);
+  obs::Trace::record(obs::EventKind::kFabricSend, self_, to,
+                     static_cast<uint64_t>(FrameKind::kMcastEnvelope), 0,
+                     w.size() + body->size());
+  cluster_.fabric().send_shared(self_, to, FrameKind::kMcastEnvelope,
+                                w.take(), body);
 }
 
 void Controller::send_envelope(NodeId target, FrameKind kind,
                                const Envelope& env) {
   // One exact-size pooled allocation per cross-node envelope: encoded_size
-  // is arithmetic, so Writer never reallocates mid-encode, and in reliable
-  // mode the kReliable header shares the same buffer instead of re-wrapping
-  // the encoded payload through a second writer (the old double copy).
-  const size_t body = env.encoded_size();
-  if (!reliable_) {
-    Writer w(BufferPool::instance().acquire(body));
-    env.encode(w);
-    BufferPool::instance().note_growth(w.growth_count());
-    if (obs::tracing_active()) {
-      obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
-                         static_cast<uint64_t>(kind), 0, w.size());
-      static obs::Counter& sent_raw =
-          obs::Metrics::instance().counter("dps.fabric.frames_sent");
-      sent_raw.inc();
-    }
-    cluster_.fabric().send(self_, target, kind, w.take());
-    return;
-  }
-  Writer w(BufferPool::instance().acquire(kRelHeaderSize + body));
-  w.put<uint64_t>(0);  // seq placeholder, patched under rel_mu_
-  w.put<uint64_t>(0);  // cumulative-ack placeholder
-  w.put<uint16_t>(static_cast<uint16_t>(kind));
+  // is arithmetic, so Writer never reallocates mid-encode.
+  Writer w(BufferPool::instance().acquire(env.encoded_size()));
   env.encode(w);
   BufferPool::instance().note_growth(w.growth_count());
-  send_reliable_wrapped(target, kind, w.take());
+  fabric_send(target, kind, w.take());
 }
 
-void Controller::send_reliable_wrapped(NodeId target, FrameKind kind,
-                                       std::vector<std::byte> wrapped,
-                                       SharedPayload body) {
-  const FaultToleranceConfig& ft = cluster_.config().fault;
-  std::vector<std::byte> out;
-  uint64_t seq = 0;
-  {
-    MutexLock lock(rel_mu_);
-    ReliableLink& l = rlink_locked(target);
-    if (l.dead) {
-      // Peer declared down: the link is a black hole.
-      BufferPool::instance().release(std::move(wrapped));
-      return;
-    }
-    seq = l.next_seq++;
-    patch_u64(wrapped, kRelSeqOffset, seq);
-    patch_u64(wrapped, kRelAckOffset, l.rx_contig);  // piggybacked ack
-    l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-    l.ack_pending = false;
-    ReliableLink::Pending p;
-    p.kind = kind;
-    p.wrapped = std::move(wrapped);
-    p.body = body;
-    p.rto = ft.rto_initial;
-    p.next_due = mono_seconds() + p.rto;
-    out = p.wrapped;  // the in-flight copy; the original arms retransmission
-    l.unacked.emplace(seq, std::move(p));
-  }
-  if (obs::tracing_active()) {
-    obs::Trace::record(obs::EventKind::kFabricSend, self_, target,
-                       static_cast<uint64_t>(kind), seq,
-                       out.size() - kRelHeaderSize +
-                           (body == nullptr ? 0 : body->size()));
-    static obs::Counter& sent =
-        obs::Metrics::instance().counter("dps.fabric.frames_sent");
-    sent.inc();
-  }
-  try {
-    if (body != nullptr) {
-      cluster_.fabric().send_shared(self_, target, FrameKind::kReliable,
-                                    std::move(out), std::move(body));
-    } else {
-      cluster_.fabric().send(self_, target, FrameKind::kReliable,
-                             std::move(out));
-    }
-  } catch (const Error& e) {
-    // A torn transport is just a lossy link here: the retransmission timer
-    // retries until the ack arrives or the peer is declared down.
-    DPS_DEBUG("node " << self_ << ": send to " << target
-                      << " failed, will retransmit: " << e.what());
-  }
+uint64_t Controller::retransmissions() const {
+  const ReliableFabric* r = cluster_.reliability();
+  return r == nullptr ? 0 : r->retransmissions(self_);
 }
 
-/// Receive-side bookkeeping for one sequenced frame. On a duplicate (retransmission that crossed
-/// our ack, or an injected copy) returns false and leaves the cumulative
-/// ack to re-send in *ack_val so the sender stops.
-bool Controller::reliable_rx_locked(ReliableLink& l, uint64_t seq,
-                                    uint64_t* ack_val) {
-  if (seq <= l.rx_contig || l.rx_above.count(seq) != 0) {
-    dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    *ack_val = l.rx_contig;
-    l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-    l.ack_pending = false;
-    return false;
-  }
-  if (seq == l.rx_contig + 1) {
-    ++l.rx_contig;
-    while (l.rx_above.erase(l.rx_contig + 1) != 0) ++l.rx_contig;
-  } else {
-    l.rx_above.insert(seq);
-  }
-  l.ack_pending = true;  // flushed by the next tick or piggybacked
-  return true;
+uint64_t Controller::duplicates_suppressed() const {
+  const ReliableFabric* r = cluster_.reliability();
+  return r == nullptr ? 0 : r->duplicates_suppressed(self_);
 }
 
-void Controller::handle_ack_locked(ReliableLink& l, NodeId from,
-                                   uint64_t ack) {
-  obs::Trace::record(obs::EventKind::kAckRecv, self_, from, 0, ack, 0);
-  auto end = l.unacked.upper_bound(ack);
-  for (auto it = l.unacked.begin(); it != end; ++it) {
-    BufferPool::instance().release(std::move(it->second.wrapped));
-  }
-  l.unacked.erase(l.unacked.begin(), end);
-}
-
-void Controller::handle_ack(NodeId from, uint64_t ack) {
-  MutexLock lock(rel_mu_);
-  ReliableLink& l = rlink_locked(from);
-  l.last_heard = mono_seconds();
-  handle_ack_locked(l, from, ack);
-}
-
-std::vector<NodeId> Controller::reliability_tick(double now) {
-  const FaultToleranceConfig& ft = cluster_.config().fault;
-  struct Out {
-    NodeId to;
-    FrameKind kind;
-    std::vector<std::byte> payload;
-    SharedPayload body;  ///< shared multicast payload; null for most frames
-  };
-  std::vector<Out> outs;
-  std::vector<NodeId> suspects;
-  {
-    MutexLock lock(rel_mu_);
-    for (auto& [peer, lp] : rlinks_) {
-      ReliableLink& l = *lp;
-      if (l.dead) continue;
-      if (l.ack_pending && l.rx_contig > l.acked_sent) {
-        Writer w;
-        w.put<uint64_t>(l.rx_contig);
-        obs::Trace::record(obs::EventKind::kAckSend, self_, peer, 0,
-                           l.rx_contig, 0);
-        outs.push_back({peer, FrameKind::kAck, w.take(), nullptr});
-        l.acked_sent = l.rx_contig;
-        l.ack_pending = false;
-      }
-      for (auto& [seq, p] : l.unacked) {
-        if (p.next_due > now) continue;
-        if (p.retries >= ft.max_retries) {
-          suspects.push_back(peer);
-          break;
-        }
-        ++p.retries;
-        p.rto = std::min(p.rto * 2, ft.rto_max);
-        // Deterministic jitter (from the seq, not a clock) de-synchronizes
-        // retransmit bursts without breaking run-to-run reproducibility.
-        p.next_due = now + p.rto * (1.0 + 0.25 * static_cast<double>(
-                                              (seq * 2654435761ULL) % 97) / 97.0);
-        // The pending buffer is already the full kReliable frame; refresh
-        // its piggybacked ack in place and send a copy (the original stays
-        // armed for the next timeout).
-        patch_u64(p.wrapped, kRelAckOffset, l.rx_contig);
-        l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-        outs.push_back({peer, FrameKind::kReliable, p.wrapped, p.body});
-        // Recorded before the count, so a reader that sees the count also
-        // finds the event in the flight recorder.
-        obs::Trace::record(obs::EventKind::kRetransmit, self_, peer,
-                           static_cast<uint64_t>(p.kind), seq,
-                           static_cast<uint64_t>(p.retries));
-        retransmissions_.fetch_add(1, std::memory_order_release);
-      }
-    }
-  }
-  for (auto& o : outs) {
-    try {
-      if (o.body != nullptr) {
-        cluster_.fabric().send_shared(self_, o.to, o.kind,
-                                      std::move(o.payload), std::move(o.body));
-      } else {
-        cluster_.fabric().send(self_, o.to, o.kind, std::move(o.payload));
-      }
-    } catch (const Error&) {
-      // transport refused: indistinguishable from a drop; retry next tick
-    }
-  }
-  return suspects;
-}
-
-void Controller::send_heartbeats(double now) {
-  (void)now;
-  struct Out {
-    NodeId to;
-    std::vector<std::byte> payload;
-  };
-  std::vector<Out> outs;
-  {
-    MutexLock lock(rel_mu_);
-    for (NodeId peer = 0; peer < cluster_.node_count(); ++peer) {
-      if (peer == self_) continue;
-      ReliableLink& l = rlink_locked(peer);
-      if (l.dead) continue;
-      Writer w;
-      w.put<uint64_t>(l.rx_contig);  // heartbeats double as ack carriers
-      l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-      l.ack_pending = false;
-      obs::Trace::record(obs::EventKind::kHeartbeat, self_, peer, 0,
-                         l.rx_contig, 0);
-      outs.push_back({peer, w.take()});
-    }
-  }
-  for (auto& o : outs) {
-    try {
-      cluster_.fabric().send(self_, o.to, FrameKind::kHeartbeat,
-                             std::move(o.payload));
-    } catch (const Error&) {
-      // best effort; a missed beacon is exactly what detection measures
-    }
-  }
-}
-
-std::vector<NodeId> Controller::stale_peers(double now, double threshold) {
-  std::vector<NodeId> stale;
-  MutexLock lock(rel_mu_);
-  for (auto& [peer, lp] : rlinks_) {
-    if (lp->dead) continue;
-    if (now - lp->last_heard > threshold) stale.push_back(peer);
-  }
-  return stale;
-}
-
-void Controller::on_node_down(NodeId node) {
-  {
-    MutexLock lock(rel_mu_);
-    ReliableLink& l = rlink_locked(node);
-    l.dead = true;
-    // Stop retransmitting into the void; recycle the armed frames.
-    for (auto& [seq, p] : l.unacked) {
-      BufferPool::instance().release(std::move(p.wrapped));
-    }
-    l.unacked.clear();
-  }
-  // Unblock split/stream executions waiting for flow-control credits the
-  // dead node will never return. The raised kState unwinds the operation;
-  // the graph call itself fails with kNodeDown at the cluster level.
+void Controller::on_node_down() {
+  // The raised kState unwinds the waiting operation; the graph call itself
+  // fails with kNodeDown at the cluster level.
   poison_flow_accounts();
 }
 

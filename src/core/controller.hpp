@@ -9,13 +9,15 @@
 // per DPS thread mapped here), dispatches arriving envelopes to operation
 // executions, implements merge/stream context collection, tracks the
 // split–merge flow-control accounts anchored on this node, and moves
-// envelopes to other nodes through the cluster fabric.
+// envelopes to other nodes through the cluster fabric. Reliable delivery
+// and heartbeats are not its job: under fault tolerance the cluster's
+// fabric is a ReliableFabric decorator (docs/FAULT_TOLERANCE.md), and the
+// controller sends and receives plain engine frames either way.
 #pragma once
 
 #include <atomic>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -64,8 +66,7 @@ class Controller {
   /// Fabric delivery (non-blocking: enqueue + notify only): every frame
   /// decoded from one receive chunk arrives together, so envelopes bound
   /// for the same worker cost one inbox append + one notify for the whole
-  /// chunk, and reliable-link seq/ack bookkeeping is applied under a single
-  /// lock acquisition.
+  /// chunk.
   void on_fabric_batch(std::vector<NodeMessage>&& msgs);
 
   /// Stops and joins this node's workers. Idempotent.
@@ -82,16 +83,6 @@ class Controller {
   uint64_t stolen_envelopes() const {
     return stolen_envelopes_.load(std::memory_order_relaxed);
   }
-
-  /// One worker's CPU-affinity record (ClusterConfig::pin_workers). cpu is
-  /// -1 while unpinned (policy kNone, non-Linux, or thread not started yet).
-  struct WorkerPin {
-    CollectionId collection = 0;
-    ThreadIndex index = 0;
-    int cpu = -1;
-  };
-  /// The pinning map of this node's workers, for svc stats and tests.
-  std::vector<WorkerPin> worker_pinning() const;
 
   // --- service-mesh admission control (docs/SERVICE_MESH.md) ----------------
   /// Always-on per-tenant admission counters, the one count of admission
@@ -134,38 +125,18 @@ class Controller {
   void restore_worker(CollectionId collection, ThreadIndex index, Reader& r);
 
   // --- fault tolerance (docs/FAULT_TOLERANCE.md) ----------------------------
-  /// Arms reliable delivery / heartbeat state according to the cluster's
-  /// FaultToleranceConfig. Called once by the Cluster before traffic flows.
-  void enable_fault_tolerance();
-
-  /// Retransmits overdue unacked frames and flushes delayed cumulative
-  /// acks. Returns peers whose retry budget is exhausted (suspects for the
-  /// caller — the cluster monitor — to adjudicate). Wall-clock `now` from
-  /// mono_seconds().
-  std::vector<NodeId> reliability_tick(double now);
-
-  /// Beacons every live peer; carries this link's cumulative ack.
-  void send_heartbeats(double now);
-
-  /// Peers not heard from for `threshold` seconds.
-  std::vector<NodeId> stale_peers(double now, double threshold);
-
-  /// Peer was declared dead: stop retransmitting to it, drop its pending
-  /// frames, and poison local flow accounts so no worker blocks on a
-  /// window that can never refill. Poisoned accounts are reaped even with
-  /// credits outstanding — the acks that would return them died with the
-  /// peer (the window-leak hazard; regression-tested in
+  /// A peer was declared dead: poison local flow accounts so no worker
+  /// blocks on a window that can never refill. Poisoned accounts are
+  /// reaped even with credits outstanding — the acks that would return
+  /// them died with the peer (the window-leak hazard; regression-tested in
   /// tests/service_mesh_test.cpp).
-  void on_node_down(NodeId node);
+  void on_node_down();
 
-  /// Frames received more than once and dropped (tests).
-  uint64_t duplicates_suppressed() const {
-    return dup_suppressed_.load(std::memory_order_relaxed);
-  }
-  /// Frames re-sent by the retransmission timer (tests).
-  uint64_t retransmissions() const {
-    return retransmissions_.load(std::memory_order_acquire);
-  }
+  /// This node's counts in the cluster's ReliableFabric: frames received
+  /// twice and dropped, and frames re-sent on a retransmission timeout.
+  /// Both read 0 without reliable delivery (tests).
+  uint64_t duplicates_suppressed() const;
+  uint64_t retransmissions() const;
 
   // --- multicast collectives (docs/PERFORMANCE.md) --------------------------
   /// Envelope bodies encoded for multicast on this node. The one-encode-
@@ -185,15 +156,11 @@ class Controller {
   struct Worker;
   struct StealGroup;
   struct FlowAccount;
-  struct ReliableLink;
   class ExecCtx;
   class DeliveryBatch;
 
   // Engine internals.
   void worker_loop(Worker& w);
-  /// Applies ClusterConfig::pin_workers to the calling worker thread
-  /// (sched_setaffinity; Linux only, no-op elsewhere).
-  void pin_worker(Worker& w);
   /// Swaps the worker's inbox out under its lock and indexes every drained
   /// envelope into the worker-private run queue. Returns false when the
   /// inbox was empty. Must run on the worker's own thread.
@@ -235,60 +202,27 @@ class Controller {
   /// locally, or as one batched kFlowAck frame (ExecCtx coalesces).
   void send_flow_ack(const SplitFrame& frame, uint32_t n);
 
-  // Reliable delivery internals. fabric_send is the single exit point for
-  // engine frames: it either forwards to the fabric directly or wraps the
-  // frame in a sequence-numbered kReliable envelope.
+  /// Hands one engine frame to the cluster fabric and records its
+  /// kFabricSend event (mcast_ship is the shared-body twin).
   void fabric_send(NodeId target, FrameKind kind,
                    std::vector<std::byte> payload);
-  /// fabric_send for prefix+shared-body frames (multicast): in reliable
-  /// mode only the small prefix is wrapped with [seq|ack|kind]; the shared
-  /// body rides every transmit — and every retransmit — untouched, so
-  /// exactly-once composes per link over the one encoded payload.
-  void fabric_send_shared(NodeId target, FrameKind kind,
-                          std::vector<std::byte> prefix, SharedPayload body);
   /// Ships one kMcastEnvelope frame carrying `n` destinations on node `to`
-  /// and the shared `body`.
+  /// and the shared `body` (the fabric's send_shared: one encode, K
+  /// transmits).
   void mcast_ship(NodeId to, const McastEntry* entries, size_t n,
                   const SharedPayload& body);
   /// kMcastEnvelope arrival: decode the body once and deliver every entry
   /// (token pointer shared between co-located receivers).
   void handle_mcast(const std::byte* data, size_t size, DeliveryBatch& batch);
-  /// Encodes `env` into one exact-size pooled buffer and ships it — in
-  /// reliable mode the kReliable header and envelope share that single
-  /// buffer (no double-wrap copy).
+  /// Encodes `env` into one exact-size pooled buffer and ships it.
   void send_envelope(NodeId target, FrameKind kind, const Envelope& env);
-  /// Assigns a sequence number into the pre-encoded [seq|ack|kind|payload]
-  /// buffer, records it for retransmission, and ships it. A non-null `body`
-  /// is a shared multicast payload appended to every (re)transmit.
-  void send_reliable_wrapped(NodeId target, FrameKind kind,
-                             std::vector<std::byte> wrapped,
-                             SharedPayload body = nullptr);
   /// Envelopes are collected into `batch` for one grouped inbox append per
   /// worker.
   void handle_frame(FrameKind kind, NodeId from,
                     const std::byte* data, size_t size, DeliveryBatch& batch);
-  void handle_ack(NodeId from, uint64_t ack);
-  void handle_ack_locked(ReliableLink& l, NodeId from, uint64_t ack)
-      DPS_REQUIRES(rel_mu_);
-  /// Receive-side dup suppression / contiguity advance for one sequenced
-  /// frame. Returns true when the frame is new and must be delivered;
-  /// false for a duplicate (caller re-acks with *ack_val).
-  bool reliable_rx_locked(ReliableLink& l, uint64_t seq, uint64_t* ack_val)
-      DPS_REQUIRES(rel_mu_);
-  ReliableLink& rlink_locked(NodeId peer) DPS_REQUIRES(rel_mu_);
 
   Cluster& cluster_;
   NodeId self_;
-
-  bool reliable_ = false;
-  bool heartbeat_ = false;
-  // Lock discipline: rel_mu_ is never held across a fabric send, and never
-  // acquired while workers_mu_ or flow_mu_ is held.
-  Mutex rel_mu_;
-  std::map<NodeId, std::unique_ptr<ReliableLink>> rlinks_
-      DPS_GUARDED_BY(rel_mu_);
-  std::atomic<uint64_t> dup_suppressed_{0};
-  std::atomic<uint64_t> retransmissions_{0};
 
   mutable Mutex workers_mu_;
   std::map<std::pair<CollectionId, ThreadIndex>, std::unique_ptr<Worker>>

@@ -4,8 +4,8 @@
 // according to a FaultPlan: per-link frame drop, duplication, delay-based
 // reorder, link partitions, and whole-node kill. Faults are decided by a
 // per-link PRNG seeded from the plan, so a failing run reproduces from its
-// seed. The reliable-delivery layer of the Controller
-// (docs/FAULT_TOLERANCE.md) is what makes split–merge calls survive these
+// seed. The reliable-delivery layer stacked above it (ReliableFabric,
+// net/reliable_fabric.hpp) is what makes split–merge calls survive these
 // faults; ChaosFabric is the adversary the tests exercise it against.
 //
 // Wall-clock only: delayed frames are re-sent by a timer thread, which

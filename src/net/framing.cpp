@@ -34,6 +34,15 @@ WireHeader make_header(const Frame& frame) {
 }
 }  // namespace
 
+SharedPayload share_pooled(std::vector<std::byte> buf) {
+  return SharedPayload(new std::vector<std::byte>(std::move(buf)),
+                       [](const std::vector<std::byte>* p) {
+                         BufferPool::instance().release(
+                             std::move(*const_cast<std::vector<std::byte>*>(p)));
+                         delete p;
+                       });
+}
+
 size_t frame_wire_size(const Frame& frame) {
   return sizeof(WireHeader) + frame.payload.size() + shared_size(frame);
 }

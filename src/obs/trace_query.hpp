@@ -1,8 +1,8 @@
 // TraceQuery: turn a drained flight-recorder trace into test assertions.
 //
 // Scheduling properties the paper only states — implicit pipelining,
-// compute/communication overlap (Table 1), per-link delivery order — become
-// checkable predicates over the recorded event stream:
+// compute/communication overlap (Table 1) — become checkable predicates
+// over the recorded event stream:
 //
 //   auto q = obs::TraceQuery(obs::Trace::instance().collect());
 //   auto merges = q.intervals(merge_vertex);
@@ -75,14 +75,6 @@ class TraceQuery {
   /// either set is empty (an assertion about nothing is a test bug).
   bool all_ordered(EventKind k1, const Pred& p1, EventKind k2,
                    const Pred& p2) const;
-
-  /// Sequence numbers (field c) of kFabricRecv events delivered from node
-  /// `from` on node `to`, in delivery order — the per-link order a
-  /// transport actually achieved.
-  std::vector<uint64_t> link_delivery_order(uint32_t from, uint32_t to) const;
-
-  /// True when `seqs` is strictly increasing (FIFO link, no duplicates).
-  static bool is_fifo(const std::vector<uint64_t>& seqs);
 
   /// Operation executions of `vertex` (kOpStart paired with the matching
   /// kOpEnd on the same thread / vertex / context / seq), time order.

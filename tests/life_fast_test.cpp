@@ -23,10 +23,7 @@ namespace {
 /// test can never leak a pinned kernel into later suites.
 class SelectionGuard {
  public:
-  ~SelectionGuard() {
-    compute::set_default_backend("");
-    LifeBackends::reset_selection();
-  }
+  ~SelectionGuard() { LifeBackends::reset_selection(); }
 };
 
 Band random_band(int rows, int cols, std::mt19937& rng, double density = 0.35) {
@@ -188,21 +185,10 @@ TEST(LifeFast, BackendSelectionPrecedence) {
   ASSERT_NE(std::find(names.begin(), names.end(), "lut"), names.end());
 
   // Registration default: lut.
-  compute::set_default_backend("");
   LifeBackends::reset_selection();
   EXPECT_EQ(LifeBackends::active_name(), "lut");
 
-  // Process-wide default (what ClusterConfig::leaf_backend feeds).
-  compute::set_default_backend("naive");
-  EXPECT_EQ(LifeBackends::active_name(), "naive");
-
-  // Unknown process-wide name falls back to the registration default
-  // rather than breaking the kernel family.
-  compute::set_default_backend("no-such-kernel");
-  EXPECT_EQ(LifeBackends::active_name(), "lut");
-
-  // Explicit select() outranks the process default.
-  compute::set_default_backend("lut");
+  // Explicit select() outranks the registration default.
   LifeBackends::select("naive");
   EXPECT_EQ(LifeBackends::active_name(), "naive");
   EXPECT_EQ(active_life_kernel().id, 0);
