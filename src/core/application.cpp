@@ -34,12 +34,12 @@ std::shared_ptr<Flowgraph> Application::build_graph(
 }
 
 std::shared_ptr<Flowgraph> Application::graph(GraphId id) const {
-  MutexLock lock(mu_);
-  if (id >= graphs_.size()) {
+  const std::shared_ptr<Flowgraph>* slot = graphs_.find(id);
+  if (slot == nullptr) {
     raise(Errc::kNotFound, "application '" + name_ + "' has no graph " +
                                std::to_string(id));
   }
-  return graphs_[id];
+  return *slot;
 }
 
 void Application::publish_graph(const std::shared_ptr<Flowgraph>& graph,

@@ -15,6 +15,7 @@
 #include "core/cluster.hpp"
 #include "core/flowgraph.hpp"
 #include "core/thread_collection.hpp"
+#include "util/append_table.hpp"
 
 namespace dps {
 
@@ -72,6 +73,7 @@ class Application {
 
   /// Shared ownership: the engine holds the graph alive while envelopes of
   /// a dispatch still reference it, even across this application's exit.
+  /// Lock-free; throws kNotFound for unknown ids.
   std::shared_ptr<Flowgraph> graph(GraphId id) const;
 
  private:
@@ -85,7 +87,8 @@ class Application {
   TenantId tenant_ = kNoTenant;
 
   mutable Mutex mu_;
-  std::vector<std::shared_ptr<Flowgraph>> graphs_ DPS_GUARDED_BY(mu_);
+  /// Appended under mu_; graph() reads it lock-free on every dispatch.
+  AppendTable<std::shared_ptr<Flowgraph>> graphs_;
   std::vector<std::shared_ptr<ThreadCollectionBase>> collections_
       DPS_GUARDED_BY(mu_);
 };

@@ -202,39 +202,39 @@ std::string Cluster::tenant_name(TenantId tenant) const {
 
 AppId Cluster::register_app(Application* app) {
   MutexLock lock(mu_);
-  const AppId id = next_app_++;
-  apps_.emplace(id, app);
-  return id;
+  return static_cast<AppId>(apps_.push_back(app) + 1);
 }
 
 void Cluster::unregister_app(AppId id) {
-  MutexLock lock(mu_);
-  apps_.erase(id);
+  if (auto* slot = apps_.find(id - 1)) {
+    slot->store(nullptr, std::memory_order_release);
+  }
 }
 
 Application* Cluster::app(AppId id) const {
-  MutexLock lock(mu_);
-  auto it = apps_.find(id);
-  if (it == apps_.end()) {
+  const auto* slot = apps_.find(id - 1);
+  Application* app =
+      slot != nullptr ? slot->load(std::memory_order_acquire) : nullptr;
+  if (app == nullptr) {
     raise(Errc::kNotFound, "no application " + std::to_string(id) +
                                " on this cluster");
   }
-  return it->second;
+  return app;
 }
 
 CollectionId Cluster::register_collection(
     std::shared_ptr<ThreadCollectionBase> collection) {
   MutexLock lock(mu_);
-  collections_.push_back(std::move(collection));
-  return static_cast<CollectionId>(collections_.size() - 1);
+  return static_cast<CollectionId>(
+      collections_.push_back(std::move(collection)));
 }
 
 ThreadCollectionBase* Cluster::collection(CollectionId id) const {
-  MutexLock lock(mu_);
-  if (id >= collections_.size()) {
+  const auto* slot = collections_.find(id);
+  if (slot == nullptr) {
     raise(Errc::kNotFound, "unknown thread collection " + std::to_string(id));
   }
-  return collections_[id].get();
+  return slot->get();
 }
 
 CallId Cluster::new_call_id() {

@@ -34,6 +34,7 @@
 #include "net/fabric.hpp"
 #include "net/name_registry.hpp"
 #include "net/reliable_fabric.hpp"
+#include "util/append_table.hpp"
 #include "util/thread_annotations.hpp"
 #include "sim/link.hpp"
 
@@ -250,10 +251,11 @@ class Cluster {
   std::vector<TenantRec> tenants_ DPS_GUARDED_BY(tenant_mu_);
 
   mutable Mutex mu_;
-  std::unordered_map<AppId, Application*> apps_ DPS_GUARDED_BY(mu_);
-  AppId next_app_ DPS_GUARDED_BY(mu_) = 1;
-  std::vector<std::shared_ptr<ThreadCollectionBase>> collections_
-      DPS_GUARDED_BY(mu_);
+  /// Application `id` sits at index id - 1 (null once unregistered);
+  /// collection `id` at index id. Appended under mu_, read lock-free by
+  /// app() and collection() on every envelope.
+  AppendTable<std::atomic<Application*>> apps_;
+  AppendTable<std::shared_ptr<ThreadCollectionBase>> collections_;
   std::atomic<uint64_t> next_call_{1};
   std::unordered_map<CallId, std::shared_ptr<detail::CallState>> calls_
       DPS_GUARDED_BY(mu_);

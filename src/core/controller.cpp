@@ -80,6 +80,14 @@ struct Controller::Worker {
   std::thread os_thread;
 };
 
+/// One collection's workers on this node, indexed by thread index. `owned`
+/// changes only under workers_mu_; `slots` mirrors it for lock-free reads.
+struct Controller::WorkerRow {
+  explicit WorkerRow(size_t n) : owned(n), slots(n) {}
+  std::vector<std::unique_ptr<Worker>> owned;
+  std::vector<std::atomic<Worker*>> slots;
+};
+
 /// The workers of one collection on one node — the domain inside which
 /// idle workers steal. Membership only grows (workers are never removed
 /// before controller shutdown joins them all), and the group object is
@@ -93,6 +101,7 @@ struct Controller::StealGroup {
 struct Controller::FlowAccount {
   Mutex mu;
   WaitPoint wp DPS_GUARDED_BY(mu);
+  ContextId ctx = 0;
   /// Window of the owning tenant, frozen at split start (per-tenant flow
   /// control, docs/SERVICE_MESH.md).
   uint32_t window = 0;
@@ -141,7 +150,7 @@ class Controller::ExecCtx : public detail::OpServices {
       case OpKind::kSplit: {
         out_frames_ = env_.frames;
         split_ctx_ = controller_.new_context_id();
-        controller_.create_flow_account(
+        split_acc_ = controller_.create_flow_account(
             split_ctx_, controller_.tenant_window(env_.tenant));
         out_frames_.push_back(
             SplitFrame{split_ctx_, 0, 0, 0, controller_.self()});
@@ -162,18 +171,20 @@ class Controller::ExecCtx : public detail::OpServices {
           total_ = first.total;
           total_known_ = true;
         }
-        // Batch flow acks: one kFlowAck per ~quarter window instead of one
-        // per token keeps the remote split pipelining while cutting ack
-        // frames; flush points below guarantee no credit is withheld while
-        // this collection blocks. The window is the tenant's — split and
-        // merge of one context always share the call's tenant.
+        // Batch flow acks: one release (a kFlowAck frame to a remote split)
+        // per ~quarter window instead of one per token keeps the split
+        // pipelining while cutting ack frames and lock round trips; flush
+        // points below guarantee no credit is withheld while this
+        // collection blocks or runs another operation. The window is the
+        // tenant's — split and merge of one context always share the
+        // call's tenant.
         ack_batch_ = std::max<uint32_t>(
             1, std::min<uint32_t>(
                    controller_.tenant_window(env_.tenant) / 4, 16));
         note_consumed(first);
         if (kind_ == OpKind::kStream) {
           split_ctx_ = controller_.new_context_id();
-          controller_.create_flow_account(
+          split_acc_ = controller_.create_flow_account(
               split_ctx_, controller_.tenant_window(env_.tenant));
           out_frames_.push_back(
               SplitFrame{split_ctx_, 0, 0, 0, controller_.self()});
@@ -550,6 +561,8 @@ class Controller::ExecCtx : public detail::OpServices {
         }
         // Nested execution of an unrelated operation on this thread. Its
         // failures must not unwind the suspended collection we service.
+        // It may block, so withheld credits go back first.
+        flush_acks();
         try {
           controller_.dispatch(worker_, std::move(env2));
         } catch (const std::exception& e) {
@@ -610,7 +623,7 @@ class Controller::ExecCtx : public detail::OpServices {
   /// already holds makes that self-deadlock impossible; backpressure still
   /// applies across executions, whose accounts are independent.
   void acquire_collective_credit() {
-    controller_.flow_acquire(split_ctx_, credits_taken_ + 1);
+    controller_.flow_acquire(*split_acc_, credits_taken_ + 1);
     ++credits_taken_;
   }
 
@@ -634,7 +647,7 @@ class Controller::ExecCtx : public detail::OpServices {
         // may still be in flight, so it floors past them like they did.
         acquire_collective_credit();
       } else {
-        controller_.flow_acquire(split_ctx_);
+        controller_.flow_acquire(*split_acc_);
         ++credits_taken_;
       }
     }
@@ -646,12 +659,11 @@ class Controller::ExecCtx : public detail::OpServices {
   }
 
   /// Records one consumed token of the merge/stream input context; credits
-  /// to remote splits are batched and flushed by flush_acks().
+  /// are batched and flushed by flush_acks(), to a split on this node as to
+  /// a remote one: a release per token would take flow_mu_ and the
+  /// account's lock for every block, against the split taking that lock
+  /// for every post.
   void note_consumed(const SplitFrame& frame) {
-    if (frame.split_node == controller_.self_) {
-      controller_.apply_flow_release(frame.context, 1);
-      return;
-    }
     if (acks_pending_ == 0) ack_frame_ = frame;
     ++acks_pending_;
     if (acks_pending_ >= ack_batch_) flush_acks();
@@ -694,6 +706,8 @@ class Controller::ExecCtx : public detail::OpServices {
   /// breaks it). See acquire_collective_credit().
   uint32_t credits_taken_ = 0;
   ContextId split_ctx_ = 0;  // split/stream output context
+  /// split_ctx_'s account; valid until finish_flow_account(split_ctx_).
+  FlowAccount* split_acc_ = nullptr;
   ContextId merge_ctx_ = 0;  // merge/stream input context
   bool claimed_ = false;
   uint32_t received_ = 0;
@@ -729,8 +743,16 @@ void Controller::spawn_worker(ThreadCollectionBase& collection,
   {
     MutexLock lock(workers_mu_);
     DPS_CHECK(!down_, "spawn_worker on a shut-down controller");
-    auto key = std::make_pair(collection.id(), index);
-    DPS_CHECK(workers_.find(key) == workers_.end(),
+    while (rows_.size() <= collection.id()) rows_.push_back(nullptr);
+    std::atomic<WorkerRow*>& row_slot = *rows_.find(collection.id());
+    WorkerRow* row = row_slot.load(std::memory_order_relaxed);
+    if (row == nullptr) {
+      row_store_.push_back(std::make_unique<WorkerRow>(
+          static_cast<size_t>(collection.size())));
+      row = row_store_.back().get();
+      row_slot.store(row, std::memory_order_release);
+    }
+    DPS_CHECK(index < row->owned.size() && row->owned[index] == nullptr,
               "thread already spawned at this (collection, index)");
     if (cluster_.config().work_stealing) {
       auto& group = steal_groups_[collection.id()];
@@ -739,7 +761,8 @@ void Controller::spawn_worker(ThreadCollectionBase& collection,
       MutexLock glock(group->mu);
       group->members.push_back(raw);
     }
-    workers_.emplace(key, std::move(w));
+    row->owned[index] = std::move(w);
+    row->slots[index].store(raw, std::memory_order_release);
   }
   cluster_.domain().reserve_actor();
   raw->os_thread = std::thread([this, raw] { worker_loop(*raw); });
@@ -747,15 +770,30 @@ void Controller::spawn_worker(ThreadCollectionBase& collection,
 
 Controller::Worker& Controller::worker(CollectionId collection,
                                        ThreadIndex index) {
-  MutexLock lock(workers_mu_);
-  auto it = workers_.find(std::make_pair(collection, index));
-  if (it == workers_.end()) {
+  const std::atomic<WorkerRow*>* row_slot = rows_.find(collection);
+  const WorkerRow* row =
+      row_slot != nullptr ? row_slot->load(std::memory_order_acquire) : nullptr;
+  Worker* w = row != nullptr && index < row->slots.size()
+                  ? row->slots[index].load(std::memory_order_acquire)
+                  : nullptr;
+  if (w == nullptr) {
     raise(Errc::kNotFound,
           "no thread " + std::to_string(index) + " of collection " +
               std::to_string(collection) + " on node " +
               cluster_.node_name(self_));
   }
-  return *it->second;
+  return *w;
+}
+
+template <class F>
+void Controller::for_each_worker(F&& f) {
+  for (size_t c = 0; c < rows_.size(); ++c) {
+    const WorkerRow* row = rows_.find(c)->load(std::memory_order_relaxed);
+    if (row == nullptr) continue;
+    for (const auto& w : row->owned) {
+      if (w != nullptr) f(*w);
+    }
+  }
 }
 
 void Controller::worker_loop(Worker& w) {
@@ -1160,7 +1198,10 @@ void Controller::on_fabric(NodeMessage&& msg) {
 void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
   // One receive chunk's worth of frames. Non-blocking by contract: enqueue,
   // update accounts, notify. Envelopes are grouped per worker (one inbox
-  // append + one notify each).
+  // append + one notify each). A decoded frame shares nothing with its
+  // payload, so each payload goes back to the pool right away, on the
+  // receiving thread, whose next frame reuses it.
+  BufferPool& pool = BufferPool::instance();
   DeliveryBatch batch(*this);
   for (NodeMessage& msg : msgs) {
     if (msg.kind == FrameKind::kPeerDown) {
@@ -1181,6 +1222,7 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
                        static_cast<uint64_t>(msg.kind), 0, msg.payload.size());
     handle_frame(msg.kind, msg.from, msg.payload.data(), msg.payload.size(),
                  batch);
+    pool.release(std::move(msg.payload));
   }
   // ~DeliveryBatch flushes the grouped envelopes.
 }
@@ -1251,39 +1293,36 @@ ContextId Controller::new_context_id() {
          (context_counter_.fetch_add(1, std::memory_order_relaxed) + 1);
 }
 
-void Controller::create_flow_account(ContextId ctx, uint32_t window) {
+Controller::FlowAccount* Controller::create_flow_account(ContextId ctx,
+                                                         uint32_t window) {
   auto acc = std::make_unique<FlowAccount>();
+  acc->ctx = ctx;
   acc->window = window;
+  FlowAccount* raw = acc.get();
   MutexLock lock(flow_mu_);
   if (flow_down_) {
     MutexLock al(acc->mu);
     acc->poison = true;
   }
   accounts_.emplace(ctx, std::move(acc));
+  return raw;
 }
 
-void Controller::flow_acquire(ContextId ctx, uint32_t min_window) {
-  FlowAccount* acc = nullptr;
-  {
-    MutexLock lock(flow_mu_);
-    auto it = accounts_.find(ctx);
-    DPS_CHECK(it != accounts_.end(), "flow_acquire on unknown account");
-    acc = it->second.get();
-  }
-  MutexLock lock(acc->mu);
+void Controller::flow_acquire(FlowAccount& acc, uint32_t min_window) {
+  MutexLock lock(acc.mu);
   // `min_window` keeps a collective live: its posting worker may also
   // serve the merge that returns these very credits, so a wait that can
   // only be satisfied by releases is a deadlock, not backpressure.
-  const uint32_t window = std::max(acc->window, min_window);
-  cluster_.domain().wait_until(acc->wp, acc->mu, [&] {
-    return acc->poison || acc->in_flight < window;
+  const uint32_t window = std::max(acc.window, min_window);
+  cluster_.domain().wait_until(acc.wp, acc.mu, [&] {
+    return acc.poison || acc.in_flight < window;
   });
-  if (acc->poison) {
+  if (acc.poison) {
     raise(Errc::kState, "shutdown while waiting for flow-control window");
   }
-  ++acc->in_flight;
-  obs::Trace::record(obs::EventKind::kFlowAcquire, self_, ctx, 0, 0,
-                     acc->in_flight);
+  ++acc.in_flight;
+  obs::Trace::record(obs::EventKind::kFlowAcquire, self_, acc.ctx, 0, 0,
+                     acc.in_flight);
 }
 
 void Controller::finish_flow_account(ContextId ctx) {
@@ -1475,16 +1514,16 @@ void Controller::poison_flow_accounts() {
 
 void Controller::checkpoint_workers(Writer& w) {
   MutexLock lock(workers_mu_);
-  for (auto& [key, worker] : workers_) {
-    auto* state = dynamic_cast<const Checkpointable*>(worker->user_thread.get());
-    if (state == nullptr) continue;
+  for_each_worker([&](Worker& worker) {
+    auto* state = dynamic_cast<const Checkpointable*>(worker.user_thread.get());
+    if (state == nullptr) return;
     w.put<uint8_t>(1);
-    w.put<CollectionId>(key.first);
-    w.put<ThreadIndex>(key.second);
+    w.put<CollectionId>(worker.collection);
+    w.put<ThreadIndex>(worker.index);
     Writer payload;
     state->checkpoint(payload);
     w.put_bytes(payload.bytes().data(), payload.size());
-  }
+  });
 }
 
 void Controller::restore_worker(CollectionId collection, ThreadIndex index,
@@ -1507,8 +1546,7 @@ void Controller::shutdown() {
     MutexLock lock(workers_mu_);
     if (down_) return;
     down_ = true;
-    workers.reserve(workers_.size());
-    for (auto& [key, w] : workers_) workers.push_back(w.get());
+    for_each_worker([&](Worker& w) { workers.push_back(&w); });
   }
   for (Worker* w : workers) {
     MutexLock lock(w->mu);

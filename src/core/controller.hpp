@@ -30,6 +30,7 @@
 #include "core/operation.hpp"
 #include "core/thread.hpp"
 #include "net/fabric.hpp"
+#include "util/append_table.hpp"
 
 namespace dps {
 
@@ -180,17 +181,23 @@ class Controller {
                            Ptr<Token> result);
   void deliver_local(Envelope env);
   void send_reply(Envelope env);
+  /// Lock-free; throws kNotFound when the thread does not live here.
   Worker& worker(CollectionId collection, ThreadIndex index);
+  /// Visits this node's workers in (collection, index) order.
+  template <class F>
+  void for_each_worker(F&& f) DPS_REQUIRES(workers_mu_);
   bool starts_collection(const Envelope& env) const;
 
   // Flow control (accounts anchored at this node for splits running here).
   ContextId new_context_id();
-  void create_flow_account(ContextId ctx, uint32_t window);
-  /// Blocks until a window slot is free. `min_window` floors the effective
-  /// window: a collective passes one more than the credits its execution
-  /// already holds, so it can never park its own worker waiting for
-  /// releases that only a merge colocated on that worker could produce.
-  void flow_acquire(ContextId ctx, uint32_t min_window = 0);
+  /// The new account stays put until its split finishes it, so the split
+  /// keeps the pointer and acquires without looking the account up.
+  FlowAccount* create_flow_account(ContextId ctx, uint32_t window);
+  /// Blocks until a window slot of `acc` is free. `min_window` floors the
+  /// effective window: a collective passes one more than the credits its
+  /// execution already holds, so it can never park its own worker waiting
+  /// for releases that only a merge colocated on that worker could produce.
+  void flow_acquire(FlowAccount& acc, uint32_t min_window = 0);
   /// Split done; erase when drained — or immediately when poisoned, since
   /// a poisoned account's outstanding credits can never return.
   void finish_flow_account(ContextId ctx);
@@ -225,8 +232,14 @@ class Controller {
   NodeId self_;
 
   mutable Mutex workers_mu_;
-  std::map<std::pair<CollectionId, ThreadIndex>, std::unique_ptr<Worker>>
-      workers_ DPS_GUARDED_BY(workers_mu_);
+  /// This node's workers: one row per collection id (null while the
+  /// collection has no thread here), one slot per thread index.
+  /// spawn_worker fills a slot under workers_mu_ before any envelope can
+  /// name the worker; worker() reads the table lock-free.
+  struct WorkerRow;
+  AppendTable<std::atomic<WorkerRow*>> rows_;
+  std::vector<std::unique_ptr<WorkerRow>> row_store_
+      DPS_GUARDED_BY(workers_mu_);
   /// Steal domains, one per collection with workers on this node. Only
   /// populated when ClusterConfig::work_stealing is on; groups are stable
   /// heap objects so workers keep a raw pointer to their own.

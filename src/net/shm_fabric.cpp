@@ -585,7 +585,7 @@ void ShmFabric::deliver(NodeId to, std::vector<NodeMessage>&& batch) {
   Handler h;
   {
     MutexLock lock(mu_);
-    if (down_) return;
+    if (down_.load(std::memory_order_acquire)) return;
     bh = batch_handlers_[to];  // copy so delivery runs outside mu_
     if (!bh) h = handlers_[to];
   }
@@ -599,41 +599,26 @@ void ShmFabric::deliver(NodeId to, std::vector<NodeMessage>&& batch) {
 
 void ShmFabric::send(NodeId from, NodeId to, FrameKind kind,
                      std::vector<std::byte> payload) {
-  {
-    MutexLock lock(mu_);
-    if (down_) return;
-  }
+  if (down_.load(std::memory_order_acquire)) return;
   DPS_CHECK(from < nodes_ && to < nodes_, "shm send: node id out of range");
-  if (tx_[from * nodes_ + to]->send(kind, payload.data(), payload.size(),
-                                    nullptr, 0)) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-  }
+  tx_[from * nodes_ + to]->send(kind, payload.data(), payload.size(), nullptr,
+                                0);
   BufferPool::instance().release(std::move(payload));
 }
 
 void ShmFabric::send_shared(NodeId from, NodeId to, FrameKind kind,
                             std::vector<std::byte> prefix,
                             SharedPayload body) {
-  {
-    MutexLock lock(mu_);
-    if (down_) return;
-  }
+  if (down_.load(std::memory_order_acquire)) return;
   DPS_CHECK(from < nodes_ && to < nodes_, "shm send: node id out of range");
   const std::byte* b = body && !body->empty() ? body->data() : nullptr;
   const size_t nb = b != nullptr ? body->size() : 0;
-  if (tx_[from * nodes_ + to]->send(kind, prefix.data(), prefix.size(), b,
-                                    nb)) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-  }
+  tx_[from * nodes_ + to]->send(kind, prefix.data(), prefix.size(), b, nb);
   BufferPool::instance().release(std::move(prefix));
 }
 
 void ShmFabric::shutdown() {
-  {
-    MutexLock lock(mu_);
-    if (down_) return;
-    down_ = true;
-  }
+  if (down_.exchange(true, std::memory_order_acq_rel)) return;
   // Stopping the inboxes marks their segments closed, which unblocks any
   // producer parked on a full ring.
   for (auto& inbox : inboxes_) {
@@ -650,7 +635,11 @@ uint64_t ShmFabric::bytes_sent() const {
 }
 
 uint64_t ShmFabric::messages_sent() const {
-  return messages_.load(std::memory_order_relaxed);
+  uint64_t total = 0;
+  for (const auto& t : tx_) {
+    if (t) total += t->stats().frames;
+  }
+  return total;
 }
 
 }  // namespace dps

@@ -162,8 +162,8 @@ class ShmFabric : public Fabric {
   mutable Mutex mu_;
   std::vector<Handler> handlers_ DPS_GUARDED_BY(mu_);
   std::vector<BatchHandler> batch_handlers_ DPS_GUARDED_BY(mu_);
-  bool down_ DPS_GUARDED_BY(mu_) = false;
-  std::atomic<uint64_t> messages_{0};
+  /// Read lock-free by every send; set once by shutdown().
+  std::atomic<bool> down_{false};
 };
 
 }  // namespace dps

@@ -1,5 +1,6 @@
 #include "serial/registry.hpp"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
@@ -44,6 +45,16 @@ void TokenRegistry::add(const TokenTypeInfo* info) {
 }
 
 const TokenTypeInfo& TokenRegistry::find(uint64_t id) const {
+  // Every decoded token looks its type up here. Entries are never removed,
+  // so a hit stays valid forever: each thread keeps a small direct-mapped
+  // cache of positive hits and takes the registry lock only on a miss.
+  struct Hit {
+    uint64_t id;
+    const TokenTypeInfo* info;
+  };
+  thread_local std::array<Hit, 16> hits{};
+  Hit& hit = hits[(id ^ (id >> 32)) % hits.size()];
+  if (hit.info != nullptr && hit.id == id) return *hit.info;
   Impl& im = impl();
   MutexLock lock(im.mu);
   auto it = im.by_id.find(id);
@@ -52,6 +63,7 @@ const TokenTypeInfo& TokenRegistry::find(uint64_t id) const {
           "unknown token type id " + std::to_string(id) +
               " (is the class's DPS_IDENTIFY linked into this binary?)");
   }
+  hit = Hit{id, it->second};
   return *it->second;
 }
 

@@ -8,6 +8,8 @@
 
 #include "core/application.hpp"
 #include "core/controller.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_query.hpp"
 #include "util/mapping.hpp"
 
 namespace dps {
@@ -470,6 +472,57 @@ TEST(FlowControl, WindowBoundsInFlightTokens) {
   auto result = token_cast<SumToken>(graph->call(new RangeToken(0, 1000)));
   ASSERT_TRUE(result);
   EXPECT_EQ(result->sum, sum_of_squares(0, 1000));
+}
+
+TEST(FlowControl, MergeOnSplitNodeBatchesCreditReleases) {
+  // Split and merge share node0, so the merge returns its credits to a
+  // local account: batched like remote acks (up to 16 per release at this
+  // window), never past the window, and every credit comes back so the
+  // account is reaped.
+  constexpr uint32_t kWindow = 64;
+  constexpr int kTokens = 1000;
+  obs::Trace::instance().reset();
+  obs::Trace::instance().configure(
+      {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
+  ClusterConfig cfg = ClusterConfig::inproc(2);
+  cfg.flow_window = kWindow;
+  {
+    Cluster cluster(cfg);
+    Application app(cluster, "flowctl-local");
+    auto mains = app.thread_collection<FMainThread>("main");
+    mains->map("node0");
+    auto collectors = app.thread_collection<FMainThread>("collector");
+    collectors->map("node0");
+    auto workers = app.thread_collection<FWorkThread>("work");
+    workers->map("node1");
+    FlowgraphBuilder b = FlowgraphNode<RangeSplit, FMainRangeRoute>(mains) >>
+                         FlowgraphNode<SquareLeaf, FWorkNumRoute>(workers) >>
+                         FlowgraphNode<SumMerge, FMainNumRoute>(collectors);
+    auto graph = app.build_graph(b, "flow");
+    ActorScope scope(cluster.domain(), "main");
+    auto result = token_cast<SumToken>(graph->call(new RangeToken(0, kTokens)));
+    ASSERT_TRUE(result);
+    EXPECT_EQ(result->sum, sum_of_squares(0, kTokens));
+    EXPECT_EQ(cluster.controller(0).flow_account_count(), 0u);
+  }
+  obs::TraceQuery q(obs::Trace::instance().collect());
+  obs::Trace::instance().set_enabled(false);
+  obs::Trace::instance().reset();
+  uint64_t acquired = 0;
+  for (const auto& ev : q.of_kind(obs::EventKind::kFlowAcquire)) {
+    ++acquired;
+    EXPECT_LE(ev.e.d, kWindow);  // d = credits in flight after the take
+  }
+  uint64_t released = 0;
+  uint64_t releases = 0;
+  for (const auto& ev : q.of_kind(obs::EventKind::kFlowRelease)) {
+    ++releases;
+    released += ev.e.c;  // c = credits returned at once
+    EXPECT_LE(ev.e.c, 16u);
+  }
+  EXPECT_EQ(acquired, uint64_t{kTokens});
+  EXPECT_EQ(released, uint64_t{kTokens});
+  EXPECT_LT(releases, released) << "no release carried more than one credit";
 }
 
 TEST(FlowControl, TinyWindowStillCompletesUnderVirtualTime) {

@@ -3,8 +3,14 @@
 // inheritance, the registry, and Ptr<> reference counting.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "serial/buffer_pool.hpp"
 #include "serial/registry.hpp"
@@ -407,6 +413,273 @@ TEST(BufferPoolTest, OversizedBuffersAreNotRetained) {
   huge.reserve((1 << 20) + 1);  // beyond the per-buffer retention cap
   pool.release(std::move(huge));
   EXPECT_EQ(pool.stats().dropped, 1u);
+  pool.reset_stats();
+}
+
+TEST(BufferPoolTest, BufferReleasedOnAnotherThreadIsReused) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+
+  // Thread B releases while it runs (into its own cache) and then exits,
+  // which hands its cache to the shared list.
+  const std::byte* released = nullptr;
+  std::thread b([&] {
+    std::vector<std::byte> buf = pool.acquire(2048);
+    released = buf.data();
+    pool.release(std::move(buf));
+    EXPECT_EQ(pool.cached_buffers(), 1u);
+  });
+  b.join();
+
+  EXPECT_EQ(pool.cached_buffers(), 0u);
+  std::vector<std::byte> again = pool.acquire(1024);
+  EXPECT_EQ(again.data(), released) << "B's buffer must serve the acquire";
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, 2u);
+  EXPECT_EQ(s.reuses, 1u);
+  EXPECT_EQ(s.releases, 1u);
+  pool.release(std::move(again));
+  pool.trim();
+  pool.reset_stats();
+}
+
+TEST(BufferPoolTest, SpillFromALiveThreadReachesOtherThreads) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+
+  // A thread that only releases (a TCP sender) overflows its cache, and the
+  // overflow must feed a thread that only acquires while both are alive.
+  constexpr size_t kReleased = BufferPool::kCacheBuffers + 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool spilled = false, done = false;
+  std::thread releaser([&] {
+    for (size_t i = 0; i < kReleased; ++i) {
+      pool.release(pool.acquire(256));
+    }
+    std::vector<std::vector<std::byte>> held;
+    for (size_t i = 0; i < kReleased; ++i) held.push_back(pool.acquire(256));
+    for (auto& buf : held) pool.release(std::move(buf));
+    EXPECT_LE(pool.cached_buffers(), BufferPool::kCacheBuffers);
+    std::unique_lock<std::mutex> lock(mu);
+    spilled = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return done; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return spilled; });
+  }
+  const uint64_t reuses_before = pool.stats().reuses;
+  std::vector<std::byte> got = pool.acquire(256);
+  EXPECT_EQ(pool.stats().reuses, reuses_before + 1)
+      << "the releaser's spill must reach this thread";
+  pool.release(std::move(got));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_all();
+  releaser.join();
+  pool.trim();
+  pool.reset_stats();
+}
+
+TEST(BufferPoolTest, StatsAreExactAcrossThreads) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool] {
+      for (int i = 0; i < kRounds; ++i) {
+        std::vector<std::byte> buf = pool.acquire(512);
+        buf.resize(512);
+        pool.release(std::move(buf));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, uint64_t{kThreads} * kRounds);
+  EXPECT_EQ(s.releases, uint64_t{kThreads} * kRounds);
+  EXPECT_EQ(s.dropped, 0u);
+  // Each thread recycles one buffer through its own cache: at most its
+  // first acquire allocates.
+  EXPECT_GE(s.reuses, uint64_t{kThreads} * (kRounds - 1));
+  EXPECT_LE(s.reuses, s.acquires);
+  pool.trim();
+  pool.reset_stats();
+}
+
+TEST(BufferPoolTest, ResetStatsCoversLiveAndExitedThreads) {
+  // Counts live in each thread's cache; reset_stats() must zero what a
+  // live thread counted before it, and stats() must keep what a thread
+  // counted before it exited.
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  auto churn = [&pool](int n) {
+    for (int i = 0; i < n; ++i) {
+      std::vector<std::byte> buf = pool.acquire(256);
+      pool.release(std::move(buf));
+    }
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  int step = 0;  // 0: churn 10; 1: main reset; 2: churn 5; 3: main read
+  std::thread live([&] {
+    churn(10);
+    std::unique_lock<std::mutex> lock(mu);
+    step = 1;
+    cv.notify_all();
+    cv.wait(lock, [&] { return step == 2; });
+    churn(5);
+    step = 3;
+    cv.notify_all();
+    cv.wait(lock, [&] { return step == 4; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return step == 1; });
+  }
+  pool.reset_stats();
+  EXPECT_EQ(pool.stats().acquires, 0u);
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    step = 2;
+    cv.notify_all();
+    cv.wait(lock, [&] { return step == 3; });
+  }
+  std::thread([&] { churn(7); }).join();  // exits before the read
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, 12u);
+  EXPECT_EQ(s.releases, 12u);
+  // At most the exited thread's first acquire allocates.
+  EXPECT_GE(s.reuses, 11u);
+  EXPECT_LE(s.reuses, 12u);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    step = 4;
+  }
+  cv.notify_all();
+  live.join();
+  EXPECT_EQ(pool.stats().acquires, 12u);  // the live thread's exit adds none
+  pool.trim();
+  pool.reset_stats();
+}
+
+TEST(BufferPoolTest, ConcurrentHandOffChurnNeverSharesABuffer) {
+  // Producers acquire, stamp and hand buffers to consumers, which check
+  // the stamp and release: the TCP worker -> sender and rx -> worker
+  // shapes at once. A buffer handed out twice shows up as a torn stamp
+  // (and, under tsan, as a race).
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+  constexpr int kProducers = 3;
+  constexpr int kConsumers = 2;
+  constexpr int kPerProducer = 2000;
+  constexpr size_t kQueueCap = 16;  // bounds the buffers in flight
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<std::vector<std::byte>> queue;
+  int producers_left = kProducers;
+  std::atomic<int> torn{0};
+  std::atomic<int> consumed{0};
+
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        // Mixed sizes exercise best-fit and the byte cap.
+        const size_t size = 64u << ((p + i) % 8);
+        std::vector<std::byte> buf = pool.acquire(size);
+        buf.assign(size, static_cast<std::byte>(i & 0xff));
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return queue.size() < kQueueCap; });
+        queue.push_back(std::move(buf));
+        cv.notify_all();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (--producers_left == 0) cv.notify_all();
+    });
+  }
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&] {
+      for (;;) {
+        std::vector<std::byte> buf;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] { return !queue.empty() || producers_left == 0; });
+          if (queue.empty()) return;
+          buf = std::move(queue.front());
+          queue.pop_front();
+          cv.notify_all();
+        }
+        for (std::byte b : buf) {
+          if (b != buf.front()) {
+            torn.fetch_add(1);
+            break;
+          }
+        }
+        consumed.fetch_add(1);
+        pool.release(std::move(buf));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, uint64_t{kProducers} * kPerProducer);
+  EXPECT_EQ(s.releases + s.dropped, uint64_t{kProducers} * kPerProducer);
+  EXPECT_GT(s.reuses, s.acquires / 2)
+      << "consumer caches must spill back to the producers";
+  pool.trim();
+  pool.reset_stats();
+}
+
+TEST(BufferPoolTest, PerThreadCacheStaysWithinItsCaps) {
+  BufferPool& pool = BufferPool::instance();
+  std::thread t([&pool] {
+    // Count cap: many small buffers.
+    std::vector<std::vector<std::byte>> small;
+    for (size_t i = 0; i < 3 * BufferPool::kCacheBuffers; ++i) {
+      small.push_back(pool.acquire(128));
+    }
+    for (auto& buf : small) {
+      pool.release(std::move(buf));
+      EXPECT_LE(pool.cached_buffers(), BufferPool::kCacheBuffers);
+    }
+    EXPECT_GT(pool.cached_buffers(), 0u);
+    pool.trim();
+    EXPECT_EQ(pool.cached_buffers(), 0u);
+    EXPECT_EQ(pool.cached_bytes(), 0u);
+
+    // Byte cap: a few large buffers fill it long before the count cap.
+    std::vector<std::vector<std::byte>> large;
+    for (int i = 0; i < 16; ++i) {
+      large.push_back(pool.acquire(BufferPool::kCacheBytes / 3));
+    }
+    for (auto& buf : large) {
+      pool.release(std::move(buf));
+      EXPECT_LE(pool.cached_bytes(), BufferPool::kCacheBytes);
+    }
+    EXPECT_GT(pool.cached_bytes(), 0u);
+    EXPECT_LE(pool.cached_buffers(), 3u) << "the byte cap binds first";
+
+    // A buffer larger than the whole cache never enters it.
+    pool.trim();
+    pool.release(pool.acquire(BufferPool::kCacheBytes + 1));
+    EXPECT_EQ(pool.cached_buffers(), 0u);
+    pool.trim();
+  });
+  t.join();
+  pool.trim();
   pool.reset_stats();
 }
 
